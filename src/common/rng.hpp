@@ -85,7 +85,7 @@ inline double to_unit_double(std::uint64_t x) {
 }
 
 /// Stateless uniform double in [0, 1) for counter-indexed Bernoulli draws
-/// (serve/fault.cpp): depends only on (seed, n), never on call order.
+/// (common/fault.cpp): depends only on (seed, n), never on call order.
 inline double counter_u01(std::uint64_t seed, std::uint64_t n) {
   return to_unit_double(derive_seed(seed, n));
 }

@@ -6,16 +6,13 @@
 #include <numeric>
 #include <stdexcept>
 
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
+
 #include "pq/kmeans.hpp"
 
 namespace dart::pq {
-
-void Encoder::encode_batch(const float* rows, std::size_t row_stride, std::size_t n,
-                           std::uint32_t* codes_out, std::size_t code_stride) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    codes_out[i * code_stride] = encode(rows + i * row_stride);
-  }
-}
 
 ExactEncoder::ExactEncoder(nn::Tensor prototypes) : prototypes_(std::move(prototypes)) {
   if (prototypes_.ndim() != 2) throw std::invalid_argument("ExactEncoder: prototypes must be 2-D");
@@ -29,7 +26,15 @@ ExactEncoder::ExactEncoder(nn::Tensor prototypes) : prototypes_(std::move(protot
   }
 }
 
-std::uint32_t ExactEncoder::encode(const float* row) const {
+void ExactEncoder::encode_batch(const float* rows, std::size_t row_stride, std::size_t n,
+                                std::uint32_t* codes_out, std::size_t code_stride,
+                                std::size_t elem_stride) const {
+  for (std::size_t i = 0; i < n; ++i) {
+    codes_out[i * code_stride] = nearest(rows + i * row_stride, elem_stride);
+  }
+}
+
+std::uint32_t ExactEncoder::nearest(const float* row, std::size_t elem_stride) const {
   const std::size_t k = prototypes_.dim(0), v = prototypes_.dim(1);
   const float* protos = prototypes_.data();
   std::uint32_t best = 0;
@@ -37,7 +42,7 @@ std::uint32_t ExactEncoder::encode(const float* row) const {
   for (std::size_t c = 0; c < k; ++c) {
     const float* p = protos + c * v;
     float dot = 0.0f;
-    for (std::size_t j = 0; j < v; ++j) dot += row[j] * p[j];
+    for (std::size_t j = 0; j < v; ++j) dot += row[j * elem_stride] * p[j];
     const float d = half_norms_[c] - dot;
     if (d < best_d) {
       best_d = d;
@@ -60,15 +65,7 @@ HashTreeEncoder::HashTreeEncoder(const nn::Tensor& prototypes) {
   std::vector<std::uint32_t> all(k_);
   std::iota(all.begin(), all.end(), 0);
   build(std::move(all), prototypes, 0);
-  // Uniform iff no leaf sits above the last level.
-  uniform_ = true;
-  const std::size_t internal = (1ULL << depth_) - 1;
-  for (std::size_t i = 0; i < internal; ++i) {
-    if (protos_[i] >= 0) {
-      uniform_ = false;
-      break;
-    }
-  }
+  index_nodes();
 }
 
 HashTreeEncoder::HashTreeEncoder(std::vector<HotNode> nodes, std::vector<std::int32_t> leaves,
@@ -103,6 +100,11 @@ HashTreeEncoder::HashTreeEncoder(std::vector<HotNode> nodes, std::vector<std::in
     stack.push_back(2 * idx + 1);
     stack.push_back(2 * idx + 2);
   }
+  index_nodes();
+}
+
+void HashTreeEncoder::index_nodes() {
+  // Uniform iff no leaf sits above the last level.
   uniform_ = true;
   const std::size_t internal = (1ULL << depth_) - 1;
   for (std::size_t i = 0; i < internal; ++i) {
@@ -110,6 +112,12 @@ HashTreeEncoder::HashTreeEncoder(std::vector<HotNode> nodes, std::vector<std::in
       uniform_ = false;
       break;
     }
+  }
+  split_dims_.assign(hot_.size() + 8, 0);
+  thresholds_.assign(hot_.size() + 8, 0.0f);
+  for (std::size_t i = 0; i < hot_.size(); ++i) {
+    split_dims_[i] = static_cast<std::int32_t>(hot_[i].split_dim);
+    thresholds_[i] = hot_[i].threshold;
   }
 }
 
@@ -171,7 +179,8 @@ std::uint32_t HashTreeEncoder::encode(const float* row) const {
 }
 
 void HashTreeEncoder::encode_batch(const float* rows, std::size_t row_stride, std::size_t n,
-                                   std::uint32_t* codes_out, std::size_t code_stride) const {
+                                   std::uint32_t* codes_out, std::size_t code_stride,
+                                   std::size_t elem_stride) const {
   const HotNode* hot = hot_.data();
   const std::int32_t* leaf = protos_.data();
   if (uniform_) {
@@ -185,7 +194,7 @@ void HashTreeEncoder::encode_batch(const float* rows, std::size_t row_stride, st
       for (std::size_t l = 0; l < depth_; ++l) {
         for (std::size_t j = 0; j < c; ++j) {
           const HotNode nd = hot[idx[j]];
-          const float x = rows[(i0 + j) * row_stride + nd.split_dim];
+          const float x = rows[(i0 + j) * row_stride + nd.split_dim * elem_stride];
           idx[j] = 2 * idx[j] + 1 + static_cast<std::size_t>(x > nd.threshold);
         }
       }
@@ -200,10 +209,163 @@ void HashTreeEncoder::encode_batch(const float* rows, std::size_t row_stride, st
     std::size_t idx = 0;
     while (leaf[idx] < 0) {
       const HotNode nd = hot[idx];
-      idx = 2 * idx + 1 + static_cast<std::size_t>(row[nd.split_dim] > nd.threshold);
+      idx = 2 * idx + 1 +
+            static_cast<std::size_t>(row[nd.split_dim * elem_stride] > nd.threshold);
     }
     codes_out[i * code_stride] = static_cast<std::uint32_t>(leaf[idx]);
   }
+}
+
+namespace {
+
+#if defined(__AVX2__)
+
+/// Level-synchronous AVX2 walk of fixed-depth trees. A vector is 8 rows of
+/// one job; up to kVectors vectors, of any jobs, descend together one level
+/// at a time. Per level and vector: fetch each lane's node (split
+/// dimension, threshold), gather the row element it tests, and step to
+/// child 2i+1 or 2i+2 exactly as the scalar walk does. Level l holds nodes
+/// [2^l - 1, 2^(l+1) - 1); levels with at most 16 nodes are selected from
+/// registers by permutes, deeper ones are gathered — gathers are the walk's
+/// bottleneck on hosts whose microcode slows them down.
+class TreeWalk {
+ public:
+  /// True when `job` can join a walk: a fixed-depth tree whose row offsets
+  /// (within one vector) fit the gathers' 32-bit indices.
+  static bool accepts(const EncodeJob& job) {
+    const HashTreeEncoder* tree = job.encoder->fixed_depth_tree();
+    if (tree == nullptr) return false;
+    const std::size_t span = 7 * job.row_stride + (tree->vec_dim() - 1) * job.elem_stride;
+    return span <= static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max());
+  }
+
+  /// Queues the job's rows as vectors, walking whenever the flight fills or
+  /// the tree depth changes.
+  void add(const EncodeJob& job) {
+    const HashTreeEncoder* tree = job.encoder->fixed_depth_tree();
+    const std::size_t depth = tree->comparisons_per_encode();
+    if (count_ > 0 && depth != depth_) walk();
+    depth_ = depth;
+    for (std::size_t i0 = 0; i0 < job.n; i0 += 8) {
+      Vector& v = flight_[count_];
+      v.rows = job.rows + i0 * job.row_stride;
+      v.split = tree->split_dims();
+      v.threshold = tree->thresholds();
+      v.leaves = tree->leaves().data();
+      v.codes = job.codes + i0;
+      v.valid = std::min<std::size_t>(8, job.n - i0);
+      v.elem_stride = static_cast<int>(job.elem_stride);
+      // Lanes past the last row re-read it; their codes are not stored.
+      alignas(32) std::int32_t off[8];
+      for (std::size_t l = 0; l < 8; ++l) {
+        off[l] = static_cast<std::int32_t>(std::min(l, v.valid - 1) * job.row_stride);
+      }
+      v.row_off = _mm256_load_si256(reinterpret_cast<const __m256i*>(off));
+      if (++count_ == kVectors) walk();
+    }
+  }
+
+  /// Walks every queued vector to its leaves and stores the codes.
+  void walk() {
+    __m256i idx[kVectors];
+    for (std::size_t j = 0; j < count_; ++j) idx[j] = _mm256_setzero_si256();
+    for (std::size_t l = 0; l < depth_; ++l) {
+      const int first = (1 << l) - 1;
+      for (std::size_t j = 0; j < count_; ++j) {
+        const Vector& v = flight_[j];
+        __m256i dim;
+        __m256 thr;
+        if (l <= 3) {
+          // At most 8 nodes: one permute of the level's first 8 entries.
+          const __m256i local = _mm256_sub_epi32(idx[j], _mm256_set1_epi32(first));
+          dim = _mm256_permutevar8x32_epi32(load_i32(v.split + first), local);
+          thr = _mm256_permutevar8x32_ps(_mm256_loadu_ps(v.threshold + first), local);
+        } else if (l == 4) {
+          // 16 nodes: permute both halves, keep the one bit 3 selects.
+          const __m256i local = _mm256_sub_epi32(idx[j], _mm256_set1_epi32(first));
+          const __m256i high = _mm256_cmpgt_epi32(local, _mm256_set1_epi32(7));
+          dim = _mm256_blendv_epi8(
+              _mm256_permutevar8x32_epi32(load_i32(v.split + first), local),
+              _mm256_permutevar8x32_epi32(load_i32(v.split + first + 8), local), high);
+          thr = _mm256_blendv_ps(
+              _mm256_permutevar8x32_ps(_mm256_loadu_ps(v.threshold + first), local),
+              _mm256_permutevar8x32_ps(_mm256_loadu_ps(v.threshold + first + 8), local),
+              _mm256_castsi256_ps(high));
+        } else {
+          dim = _mm256_i32gather_epi32(v.split, idx[j], 4);
+          thr = _mm256_i32gather_ps(v.threshold, idx[j], 4);
+        }
+        const __m256i elem = v.elem_stride == 1
+                                 ? dim
+                                 : _mm256_mullo_epi32(dim, _mm256_set1_epi32(v.elem_stride));
+        const __m256 x = _mm256_i32gather_ps(v.rows, _mm256_add_epi32(v.row_off, elem), 4);
+        // x > thr gives all-ones (-1) per lane: child = 2*idx + 1 - mask.
+        const __m256i gt = _mm256_castps_si256(_mm256_cmp_ps(x, thr, _CMP_GT_OQ));
+        idx[j] = _mm256_sub_epi32(
+            _mm256_add_epi32(_mm256_add_epi32(idx[j], idx[j]), _mm256_set1_epi32(1)), gt);
+      }
+    }
+    for (std::size_t j = 0; j < count_; ++j) {
+      const Vector& v = flight_[j];
+      const __m256i code = _mm256_i32gather_epi32(v.leaves, idx[j], 4);
+      if (v.valid == 8) {
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(v.codes), code);
+      } else {
+        alignas(32) std::uint32_t lanes[8];
+        _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), code);
+        std::copy(lanes, lanes + v.valid, v.codes);
+      }
+    }
+    count_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kVectors = 8;
+
+  struct Vector {
+    __m256i row_off;  ///< per-lane row offset from `rows`, in floats
+    const float* rows;
+    const std::int32_t* split;
+    const float* threshold;
+    const std::int32_t* leaves;
+    std::uint32_t* codes;
+    std::size_t valid;  ///< lanes that hold a real row
+    int elem_stride;
+  };
+
+  static __m256i load_i32(const std::int32_t* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+
+  Vector flight_[kVectors];
+  std::size_t count_ = 0;
+  std::size_t depth_ = 0;
+};
+
+#endif  // __AVX2__
+
+}  // namespace
+
+void encode_jobs(const EncodeJob* jobs, std::size_t count) {
+#if defined(__AVX2__)
+  TreeWalk walk;
+  for (std::size_t i = 0; i < count; ++i) {
+    const EncodeJob& job = jobs[i];
+    if (job.n == 0) continue;
+    if (TreeWalk::accepts(job)) {
+      walk.add(job);
+    } else {
+      job.encoder->encode_batch(job.rows, job.row_stride, job.n, job.codes, 1,
+                                job.elem_stride);
+    }
+  }
+  walk.walk();
+#else
+  for (std::size_t i = 0; i < count; ++i) {
+    const EncodeJob& job = jobs[i];
+    job.encoder->encode_batch(job.rows, job.row_stride, job.n, job.codes, 1, job.elem_stride);
+  }
+#endif
 }
 
 std::unique_ptr<Encoder> make_encoder(EncoderKind kind, const nn::Tensor& prototypes) {

@@ -11,6 +11,8 @@ NnPrefetcherBase::NnPrefetcherBase(const NnAdapterOptions& options) : opts_(opti
   if (opts_.trigger_sample == 0) opts_.trigger_sample = 1;
   hist_blocks_.assign(opts_.prep.history, 0);
   hist_pcs_.assign(opts_.prep.history, 0);
+  addr_ = nn::Tensor({1, opts_.prep.history, opts_.prep.addr_segments});
+  pc_ = nn::Tensor({1, opts_.prep.history, opts_.prep.pc_segments});
 }
 
 void NnPrefetcherBase::on_access(std::uint64_t block, std::uint64_t pc, bool /*hit*/,
@@ -28,28 +30,26 @@ void NnPrefetcherBase::on_access(std::uint64_t block, std::uint64_t pc, bool /*h
   next_allowed_cycle_ = cycle + std::max<std::size_t>(1, opts_.initiation_interval);
 
   const std::size_t t_len = opts_.prep.history;
-  nn::Tensor addr({1, t_len, opts_.prep.addr_segments});
-  nn::Tensor pcs({1, t_len, opts_.prep.pc_segments});
   for (std::size_t t = 0; t < t_len; ++t) {
     const std::size_t idx = (hist_pos_ + t) % t_len;  // oldest -> newest
     trace::segment_value(hist_blocks_[idx], opts_.prep.addr_segments, opts_.prep.segment_bits,
-                         addr.data() + t * opts_.prep.addr_segments);
+                         addr_.data() + t * opts_.prep.addr_segments);
     trace::segment_value(hist_pcs_[idx] >> 2, opts_.prep.pc_segments, opts_.prep.segment_bits,
-                         pcs.data() + t * opts_.prep.pc_segments);
+                         pc_.data() + t * opts_.prep.pc_segments);
   }
-  nn::Tensor probs = predict(addr, pcs);
+  predict(addr_, pc_, probs_);
 
   // Decode the delta bitmap: strongest deltas first, up to `degree`.
-  std::vector<std::pair<float, std::size_t>> fired;
-  for (std::size_t j = 0; j < probs.numel(); ++j) {
-    if (probs[j] >= opts_.threshold) fired.emplace_back(probs[j], j);
+  fired_.clear();
+  for (std::size_t j = 0; j < probs_.size(); ++j) {
+    if (probs_[j] >= opts_.threshold) fired_.emplace_back(probs_[j], j);
   }
-  std::sort(fired.begin(), fired.end(), [](const auto& a, const auto& b) {
+  std::sort(fired_.begin(), fired_.end(), [](const auto& a, const auto& b) {
     return a.first > b.first;
   });
-  const std::size_t take = std::min(opts_.degree, fired.size());
+  const std::size_t take = std::min(opts_.degree, fired_.size());
   for (std::size_t i = 0; i < take; ++i) {
-    const std::int64_t delta = trace::bit_to_delta(fired[i].second, opts_.prep.bitmap_size);
+    const std::int64_t delta = trace::bit_to_delta(fired_[i].second, opts_.prep.bitmap_size);
     out.push_back(static_cast<std::uint64_t>(static_cast<std::int64_t>(block) + delta));
   }
 }
@@ -58,10 +58,17 @@ void NnPrefetcherBase::on_access(std::uint64_t block, std::uint64_t pc, bool /*h
 
 DartPrefetcher::DartPrefetcher(std::shared_ptr<const tabular::TabularPredictor> predictor,
                                const NnAdapterOptions& options, std::string display_name)
-    : NnPrefetcherBase(options), predictor_(std::move(predictor)), name_(std::move(display_name)) {}
+    : NnPrefetcherBase(options),
+      predictor_(std::move(predictor)),
+      ws_(predictor_->tabular_arch()),
+      name_(std::move(display_name)) {}
 
-nn::Tensor DartPrefetcher::predict(const nn::Tensor& addr, const nn::Tensor& pc) {
-  return predictor_->forward(addr, pc);  // already probabilities (sigmoid LUT)
+void DartPrefetcher::predict(const nn::Tensor& addr, const nn::Tensor& pc,
+                             std::vector<float>& probs) {
+  // The batch-1 query itself, with no pool fork and no allocation; the
+  // outputs are already probabilities (sigmoid LUT).
+  probs.resize(predictor_->arch().out_dim);
+  predictor_->forward_sample_into(addr.data(), pc.data(), probs.data(), ws_);
 }
 
 // ----------------------------------------------------------- TransFetch-like
@@ -71,11 +78,12 @@ AttentionPrefetcher::AttentionPrefetcher(std::shared_ptr<nn::AddressPredictor> m
                                          std::string display_name)
     : NnPrefetcherBase(options), model_(std::move(model)), name_(std::move(display_name)) {}
 
-nn::Tensor AttentionPrefetcher::predict(const nn::Tensor& addr, const nn::Tensor& pc) {
+void AttentionPrefetcher::predict(const nn::Tensor& addr, const nn::Tensor& pc,
+                                  std::vector<float>& probs) {
   nn::Tensor logits = model_->forward(addr, pc);
-  nn::Tensor probs;
-  nn::ops::sigmoid(logits, probs);
-  return probs;
+  nn::Tensor p;
+  nn::ops::sigmoid(logits, p);
+  probs.assign(p.data(), p.data() + p.numel());
 }
 
 std::size_t AttentionPrefetcher::storage_bytes() const {
@@ -88,11 +96,12 @@ LstmPrefetcher::LstmPrefetcher(std::shared_ptr<nn::LstmPredictor> model,
                                const NnAdapterOptions& options, std::string display_name)
     : NnPrefetcherBase(options), model_(std::move(model)), name_(std::move(display_name)) {}
 
-nn::Tensor LstmPrefetcher::predict(const nn::Tensor& addr, const nn::Tensor& pc) {
+void LstmPrefetcher::predict(const nn::Tensor& addr, const nn::Tensor& pc,
+                             std::vector<float>& probs) {
   nn::Tensor logits = model_->forward(addr, pc);
-  nn::Tensor probs;
-  nn::ops::sigmoid(logits, probs);
-  return probs;
+  nn::Tensor p;
+  nn::ops::sigmoid(logits, p);
+  probs.assign(p.data(), p.data() + p.numel());
 }
 
 std::size_t LstmPrefetcher::storage_bytes() const {

@@ -9,7 +9,10 @@
 // All adapters share the same mechanics: keep the last T LLC accesses,
 // build the segmented addr/PC input of §VI-A, run the predictor, turn
 // bitmap bits with probability >= threshold into block addresses
-// (current block + delta), strongest bits first.
+// (current block + delta), strongest bits first. The input tensors, the
+// probability buffer and the fired-bit list are reused across calls, and
+// DART queries through `forward_sample_into` on a workspace it owns, so
+// its `on_access` performs no heap allocation.
 //
 // Latency-bound triggering: a predictor with prediction latency L cannot
 // start a new inference while one is outstanding (it is not pipelined), so
@@ -54,13 +57,18 @@ class NnPrefetcherBase : public sim::Prefetcher {
   std::size_t prediction_latency() const final { return opts_.latency; }
 
  protected:
-  /// Runs the wrapped predictor on [1,T,S] inputs; returns [1, DO]
-  /// probabilities.
-  virtual nn::Tensor predict(const nn::Tensor& addr, const nn::Tensor& pc) = 0;
+  /// Runs the wrapped predictor on [1,T,S] inputs and stores the DO output
+  /// probabilities in `probs` (resized to DO; its capacity is reused).
+  virtual void predict(const nn::Tensor& addr, const nn::Tensor& pc,
+                       std::vector<float>& probs) = 0;
 
   NnAdapterOptions opts_;
 
  private:
+  nn::Tensor addr_;  ///< [1, T, S] segmented addresses, rebuilt per trigger
+  nn::Tensor pc_;    ///< [1, T, S] segmented PCs
+  std::vector<float> probs_;
+  std::vector<std::pair<float, std::size_t>> fired_;  ///< (probability, bit)
   std::vector<std::uint64_t> hist_blocks_;
   std::vector<std::uint64_t> hist_pcs_;
   std::size_t hist_pos_ = 0;
@@ -78,10 +86,12 @@ class DartPrefetcher final : public NnPrefetcherBase {
   std::string name() const override { return name_; }
 
  protected:
-  nn::Tensor predict(const nn::Tensor& addr, const nn::Tensor& pc) override;
+  void predict(const nn::Tensor& addr, const nn::Tensor& pc,
+               std::vector<float>& probs) override;
 
  private:
   std::shared_ptr<const tabular::TabularPredictor> predictor_;
+  tabular::InferenceWorkspace ws_;  ///< sized once for the predictor
   std::string name_;
 };
 
@@ -96,7 +106,8 @@ class AttentionPrefetcher final : public NnPrefetcherBase {
   bool shares_mutable_model() const override { return true; }
 
  protected:
-  nn::Tensor predict(const nn::Tensor& addr, const nn::Tensor& pc) override;
+  void predict(const nn::Tensor& addr, const nn::Tensor& pc,
+               std::vector<float>& probs) override;
 
  private:
   std::shared_ptr<nn::AddressPredictor> model_;
@@ -114,7 +125,8 @@ class LstmPrefetcher final : public NnPrefetcherBase {
   bool shares_mutable_model() const override { return true; }
 
  protected:
-  nn::Tensor predict(const nn::Tensor& addr, const nn::Tensor& pc) override;
+  void predict(const nn::Tensor& addr, const nn::Tensor& pc,
+               std::vector<float>& probs) override;
 
  private:
   std::shared_ptr<nn::LstmPredictor> model_;

@@ -4,6 +4,10 @@
 #include <cmath>
 #include <stdexcept>
 
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
+
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "nn/ops.hpp"
@@ -36,6 +40,51 @@ void pairwise_dot(const nn::Tensor& a, const nn::Tensor& b, float* table) {
       table[i * k + j] = acc;
     }
   }
+}
+
+/// The lookup both stages share (Eq. 13 and Eq. 15): for r < rows and
+/// j < cols, out[r * out_stride + j] is set to (first subspace) or
+/// incremented by (later subspaces) tab[row_codes[r] * kp + col_codes[j]].
+/// Scalar twin of `lookup_rows`.
+void lookup_rows_scalar(const float* tab, std::size_t kp, const std::uint32_t* row_codes,
+                        std::size_t rows, const std::uint32_t* col_codes, std::size_t cols,
+                        bool first, float* out, std::size_t out_stride) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* trow = tab + row_codes[r] * kp;
+    float* orow = out + r * out_stride;
+    if (first) {
+      for (std::size_t j = 0; j < cols; ++j) orow[j] = trow[col_codes[j]];
+    } else {
+      for (std::size_t j = 0; j < cols; ++j) orow[j] += trow[col_codes[j]];
+    }
+  }
+}
+
+/// `lookup_rows_scalar` with 8 columns per AVX2 gather (codes are < K, so
+/// they are valid 32-bit gather indices); the same loads and the same
+/// single add per element, so the result is bit-identical.
+void lookup_rows(const float* tab, std::size_t kp, const std::uint32_t* row_codes,
+                 std::size_t rows, const std::uint32_t* col_codes, std::size_t cols, bool first,
+                 float* out, std::size_t out_stride) {
+#if defined(__AVX2__)
+  const std::size_t cols8 = cols - cols % 8;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* trow = tab + row_codes[r] * kp;
+    float* orow = out + r * out_stride;
+    for (std::size_t j = 0; j < cols8; j += 8) {
+      const __m256i idx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col_codes + j));
+      __m256 v = _mm256_i32gather_ps(trow, idx, 4);
+      if (!first) v = _mm256_add_ps(_mm256_loadu_ps(orow + j), v);
+      _mm256_storeu_ps(orow + j, v);
+    }
+  }
+  if (cols8 < cols) {
+    lookup_rows_scalar(tab, kp, row_codes, rows, col_codes + cols8, cols - cols8, first,
+                       out + cols8, out_stride);
+  }
+#else
+  lookup_rows_scalar(tab, kp, row_codes, rows, col_codes, cols, first, out, out_stride);
+#endif
 }
 
 }  // namespace
@@ -203,31 +252,32 @@ void AttentionKernel::query_batch_into(const float* q, std::size_t q_stride, con
   const std::size_t vrows = n * dk_;     // V columns across the block
   const auto m = ws.mark();
 
-  // ---- Stage 1: encode all samples' Q/K rows, one call per subspace -----
+  // ---- One multi-tree walk: Q/K rows and V columns of every subspace ----
+  // V column d of sample s is read in place: its T elements sit v_stride
+  // floats apart, so no transposed copy of V is needed.
   std::uint32_t* qc = ws.codes(ck * rows);
   std::uint32_t* kc = ws.codes(ck * rows);
+  std::uint32_t* vc = ws.codes(ct * vrows);
+  pq::EncodeQueue queue;
   for (std::size_t c = 0; c < ck; ++c) {
-    q_encoders_[c]->encode_batch(q + c * sub_dk_, q_stride, rows, qc + c * rows);
-    k_encoders_[c]->encode_batch(k + c * sub_dk_, k_stride, rows, kc + c * rows);
+    queue.add(*q_encoders_[c], q + c * sub_dk_, q_stride, 1, rows, qc + c * rows);
+    queue.add(*k_encoders_[c], k + c * sub_dk_, k_stride, 1, rows, kc + c * rows);
   }
+  for (std::size_t c = 0; c < ct; ++c) {
+    for (std::size_t s = 0; s < n; ++s) {
+      queue.add(*v_encoders_[c], v + (s * t_len_ + c * sub_t_) * v_stride, 1, v_stride, dk_,
+                vc + c * vrows + s * dk_);
+    }
+  }
+  queue.run();
 
   // ---- Score matrices via QK lookups (Eq. 13), per sample ---------------
   float* scores = ws.floats(rows * t_len_);
   for (std::size_t s = 0; s < n; ++s) {
-    float* sbase = scores + s * t_len_ * t_len_;
     for (std::size_t c = 0; c < ck; ++c) {
-      const float* tab = qk_table_.data() + c * kp * kp;
-      const std::uint32_t* qcc = qc + c * rows + s * t_len_;
-      const std::uint32_t* kcc = kc + c * rows + s * t_len_;
-      for (std::size_t t1 = 0; t1 < t_len_; ++t1) {
-        const float* trow = tab + qcc[t1] * kp;
-        float* srow = sbase + t1 * t_len_;
-        if (c == 0) {
-          for (std::size_t t2 = 0; t2 < t_len_; ++t2) srow[t2] = trow[kcc[t2]];
-        } else {
-          for (std::size_t t2 = 0; t2 < t_len_; ++t2) srow[t2] += trow[kcc[t2]];
-        }
-      }
+      lookup_rows(qk_table_.data() + c * kp * kp, kp, qc + c * rows + s * t_len_, t_len_,
+                  kc + c * rows + s * t_len_, t_len_, c == 0, scores + s * t_len_ * t_len_,
+                  t_len_);
     }
   }
   if (config_.activation == AttentionActivation::kSoftmaxAtQuery) {
@@ -249,42 +299,19 @@ void AttentionKernel::query_batch_into(const float* q, std::size_t q_stride, con
     }
   }
 
-  // ---- Stage 2: encode all score rows and V columns ----------------------
+  // ---- Stage 2: encode all score rows (one walk over the Ct subspaces) --
   std::uint32_t* sc = ws.codes(ct * rows);
-  std::uint32_t* vc = ws.codes(ct * vrows);
   for (std::size_t c = 0; c < ct; ++c) {
-    s_encoders_[c]->encode_batch(scores + c * sub_t_, t_len_, rows, sc + c * rows);
+    queue.add(*s_encoders_[c], scores + c * sub_t_, t_len_, 1, rows, sc + c * rows);
   }
-  // Transpose each sample's V to [Dk, T] so its columns become encoder rows.
-  float* vt = ws.floats(vrows * t_len_);
-  for (std::size_t s = 0; s < n; ++s) {
-    float* vts = vt + s * dk_ * t_len_;
-    const float* vs = v + s * t_len_ * v_stride;
-    for (std::size_t t = 0; t < t_len_; ++t) {
-      const float* vrow = vs + t * v_stride;
-      for (std::size_t d = 0; d < dk_; ++d) vts[d * t_len_ + t] = vrow[d];
-    }
-  }
-  for (std::size_t c = 0; c < ct; ++c) {
-    v_encoders_[c]->encode_batch(vt + c * sub_t_, t_len_, vrows, vc + c * vrows);
-  }
+  queue.run();
 
   // ---- Final lookups + aggregation (Eq. 15), per sample ------------------
   for (std::size_t s = 0; s < n; ++s) {
-    float* obase = out + s * t_len_ * out_stride;
     for (std::size_t c = 0; c < ct; ++c) {
-      const float* tab = qkv_table_.data() + c * kp * kp;
-      const std::uint32_t* scc = sc + c * rows + s * t_len_;
-      const std::uint32_t* vcc = vc + c * vrows + s * dk_;
-      for (std::size_t t = 0; t < t_len_; ++t) {
-        const float* trow = tab + scc[t] * kp;
-        float* orow = obase + t * out_stride;
-        if (c == 0) {
-          for (std::size_t d = 0; d < dk_; ++d) orow[d] = trow[vcc[d]];
-        } else {
-          for (std::size_t d = 0; d < dk_; ++d) orow[d] += trow[vcc[d]];
-        }
-      }
+      lookup_rows(qkv_table_.data() + c * kp * kp, kp, sc + c * rows + s * t_len_, t_len_,
+                  vc + c * vrows + s * dk_, dk_, c == 0, out + s * t_len_ * out_stride,
+                  out_stride);
     }
   }
   ws.rewind(m);

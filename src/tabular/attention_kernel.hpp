@@ -81,10 +81,12 @@ class AttentionKernel {
 
   /// Block variant: `n` consecutive samples whose q/k/v rows are uniformly
   /// strided across the whole block (true for a packed [n*T, 3D] QKV
-  /// activation). All four encoder banks run ONE encode_batch per subspace
-  /// over the n*T (or n*Dk) rows; only the table-lookup aggregation loops
-  /// iterate per sample. Sample s's [T, Dk] output starts at
-  /// `out + s*T*out_stride`.
+  /// activation). Two multi-tree walks (pq::EncodeQueue) encode the block:
+  /// the Q/K rows and V columns of every subspace (V columns read in place
+  /// through an element stride, no transpose), then the score rows. The
+  /// table lookups gather 8 codes per AVX2 instruction where available and
+  /// add subspaces in index order, as the scalar path does. Sample s's
+  /// [T, Dk] output starts at `out + s*T*out_stride`.
   void query_batch_into(const float* q, std::size_t q_stride, const float* k,
                         std::size_t k_stride, const float* v, std::size_t v_stride,
                         std::size_t n, float* out, std::size_t out_stride,
@@ -102,7 +104,7 @@ class AttentionKernel {
 
   /// Workspace demand of one single-sample `query_into` (floats, codes);
   /// the block variant scales both by the sample count.
-  std::size_t float_slots() const { return t_len_ * t_len_ + dk_ * t_len_; }
+  std::size_t float_slots() const { return t_len_ * t_len_; }
   std::size_t code_slots() const {
     return 2 * config_.ck * t_len_ + config_.ct * (t_len_ + dk_);
   }

@@ -6,6 +6,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "pq/kmeans.hpp"
+#include "tabular/madd.hpp"
 
 namespace dart::tabular {
 
@@ -85,34 +86,83 @@ LinearKernel LinearKernel::from_parts(const KernelConfig& config, std::size_t in
   return kernel;
 }
 
+std::uint32_t* LinearKernel::encode_rows(const float* rows, std::size_t n,
+                                         std::size_t row_stride,
+                                         InferenceWorkspace& ws) const {
+  // Codes in subspace-major (SoA) order: codes[c * n + i]. Every
+  // subspace's encoder joins one multi-tree walk.
+  std::uint32_t* codes = ws.codes(config_.num_subspaces * n);
+  pq::EncodeQueue queue;
+  for (std::size_t c = 0; c < config_.num_subspaces; ++c) {
+    queue.add(*encoders_[c], rows + c * sub_dim_, row_stride, 1, n, codes + c * n);
+  }
+  queue.run();
+  return codes;
+}
+
+void LinearKernel::aggregate_row(const std::uint32_t* codes, std::size_t i, std::size_t n,
+                                 float* orow) const {
+  const std::size_t k = config_.num_prototypes;
+  const std::size_t c_count = config_.num_subspaces;
+  const float* tbl = table_.data();
+  // Subspace 0 (bias folded in) plus subspace 1 in one pass, the rest
+  // accumulate: C contiguous rows of length DO, summed in subspace order.
+  const float* t0 = tbl + codes[i] * out_dim_;
+  if (c_count == 1) {
+    std::copy(t0, t0 + out_dim_, orow);
+    return;
+  }
+  const float* t1 = tbl + (k + codes[n + i]) * out_dim_;
+  for (std::size_t o = 0; o < out_dim_; ++o) orow[o] = t0[o] + t1[o];
+  for (std::size_t c = 2; c < c_count; ++c) {
+    const float* tc = tbl + (c * k + codes[c * n + i]) * out_dim_;
+    for (std::size_t o = 0; o < out_dim_; ++o) orow[o] += tc[o];
+  }
+}
+
 void LinearKernel::query_into(const float* rows, std::size_t n, std::size_t row_stride,
                               float* out, std::size_t out_stride,
                               InferenceWorkspace& ws) const {
-  const std::size_t k = config_.num_prototypes;
-  const std::size_t c_count = config_.num_subspaces;
   const auto m = ws.mark();
-  // Codes in subspace-major (SoA) order: codes[c * n + i].
-  std::uint32_t* codes = ws.codes(c_count * n);
-  for (std::size_t c = 0; c < c_count; ++c) {
-    encoders_[c]->encode_batch(rows + c * sub_dim_, row_stride, n, codes + c * n);
-  }
+  const std::uint32_t* codes = encode_rows(rows, n, row_stride, ws);
   if (!quant_.empty()) {
     // Quantized aggregation (DESIGN.md §10): integer row-adds + one
     // dequantization affine per output column.
     aggregate_quantized(quant_, codes, n, out, out_stride);
-    ws.rewind(m);
-    return;
+  } else {
+    for (std::size_t i = 0; i < n; ++i) aggregate_row(codes, i, n, out + i * out_stride);
   }
-  const float* tbl = table_.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    float* orow = out + i * out_stride;
-    // Subspace 0 initializes (bias is folded there), the rest accumulate:
-    // C contiguous row-adds of length DO.
-    const float* t0 = tbl + codes[i] * out_dim_;
-    std::copy(t0, t0 + out_dim_, orow);
-    for (std::size_t c = 1; c < c_count; ++c) {
-      const float* tc = tbl + (c * k + codes[c * n + i]) * out_dim_;
-      for (std::size_t o = 0; o < out_dim_; ++o) orow[o] += tc[o];
+  ws.rewind(m);
+}
+
+void LinearKernel::query_pooled_into(const float* rows, std::size_t groups,
+                                     std::size_t group_rows, std::size_t row_stride,
+                                     float scale, float* out, InferenceWorkspace& ws) const {
+  const std::size_t n = groups * group_rows;
+  const auto m = ws.mark();
+  const std::uint32_t* codes = encode_rows(rows, n, row_stride, ws);
+  // The float table aggregates one row at a time into `row`; a quantized
+  // table dequantizes all n rows first (its kernels work on row blocks).
+  float* row = nullptr;
+  float* all = nullptr;
+  if (quant_.empty()) {
+    row = ws.floats(out_dim_);
+  } else {
+    all = ws.floats(n * out_dim_);
+    aggregate_quantized(quant_, codes, n, all, out_dim_);
+  }
+  for (std::size_t g = 0; g < groups; ++g) {
+    float* acc = out + g * out_dim_;
+    std::fill(acc, acc + out_dim_, 0.0f);
+    for (std::size_t t = 0; t < group_rows; ++t) {
+      const std::size_t i = g * group_rows + t;
+      const float* r = row;
+      if (all != nullptr) {
+        r = all + i * out_dim_;
+      } else {
+        aggregate_row(codes, i, n, row);
+      }
+      for (std::size_t o = 0; o < out_dim_; ++o) acc[o] = madd(r[o], scale, acc[o]);
     }
   }
   ws.rewind(m);

@@ -65,6 +65,16 @@ class LinearKernel {
   void query_into(const float* rows, std::size_t n, std::size_t row_stride, float* out,
                   std::size_t out_stride, InferenceWorkspace& ws) const;
 
+  /// Zero-allocation pooled query: the rows form `groups` groups of
+  /// `group_rows` consecutive rows, and group g's DO outputs at
+  /// `out + g * DO` start at 0 and accumulate `madd(row, scale, acc)`
+  /// (madd.hpp) over `query_into`'s output rows of the group, in order —
+  /// the predictor's mean pool, without a buffer of per-row outputs.
+  /// Serial; scratch comes from `ws`.
+  void query_pooled_into(const float* rows, std::size_t groups, std::size_t group_rows,
+                         std::size_t row_stride, float scale, float* out,
+                         InferenceWorkspace& ws) const;
+
   /// Builds (or clears, for kOff) the quantized mirror of the output table
   /// (DESIGN.md §10). Deterministic from the float table, which is kept —
   /// switching back to kOff restores bit-exact float queries. Not
@@ -119,6 +129,15 @@ class LinearKernel {
 
  private:
   LinearKernel() = default;  // from_parts fills every member
+
+  /// Encodes `n` rows (`row_stride` apart) in every subspace through one
+  /// pq::EncodeQueue; returns the SoA codes (codes[c * n + i]) allocated
+  /// from `ws`.
+  std::uint32_t* encode_rows(const float* rows, std::size_t n, std::size_t row_stride,
+                             InferenceWorkspace& ws) const;
+  /// Writes float-table output row i of a block of `n` encoded rows.
+  void aggregate_row(const std::uint32_t* codes, std::size_t i, std::size_t n,
+                     float* orow) const;
 
   KernelConfig config_;
   std::size_t in_dim_ = 0;

@@ -1,9 +1,9 @@
 // Fixed lookup-table approximation of the output Sigmoid (Algorithm 1,
 // line 16; Meher [46]): uniform 256-entry table over [-8, 8], clamped
 // outside. One comparison + one lookup per scalar — no transcendentals at
-// query time. The inverse cell width is precomputed at construction and the
-// scalar operator is inline, so `apply_batch` compiles to a tight
-// multiply + clamp + gather loop.
+// query time. The inverse cell width is precomputed at construction;
+// `apply_batch` runs 8 scalars per AVX2 gather where available and is
+// bit-identical to its scalar twin `apply_batch_reference`.
 #pragma once
 
 #include <array>
@@ -24,14 +24,24 @@ class SigmoidLut {
   float operator()(float x) const {
     if (x <= -kRange) return 0.0f;
     if (x >= kRange) return 1.0f;
-    auto idx = static_cast<std::size_t>((x + kRange) * inv_step_);
-    if (idx >= kEntries) idx = kEntries - 1;
+    // Truncation picks the cell; x just below kRange can round to cell
+    // kEntries, and NaN fails every comparison — both take the last cell.
+    const float pos = (x + kRange) * inv_step_;
+    const std::size_t idx =
+        pos < static_cast<float>(kEntries) ? static_cast<std::size_t>(pos) : kEntries - 1;
     return table_[idx];
   }
 
   /// Applies elementwise to `n` scalars at `x`, writing to `out` (which may
   /// alias `x` — used in-place on workspace buffers by the predictor).
-  void apply_batch(const float* x, std::size_t n, float* out) const {
+  /// AVX2: truncate, clamp the index with an unsigned min (NaN converts to
+  /// 0x80000000 and so lands in the last cell, as in the scalar code),
+  /// gather, then blend in 0 and 1 for the clamped ranges.
+  void apply_batch(const float* x, std::size_t n, float* out) const;
+
+  /// The scalar twin of `apply_batch`: `operator()` per element. The
+  /// bit-exactness tests pin the SIMD path against it.
+  void apply_batch_reference(const float* x, std::size_t n, float* out) const {
     for (std::size_t i = 0; i < n; ++i) out[i] = (*this)(x[i]);
   }
 

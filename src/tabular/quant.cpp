@@ -9,6 +9,8 @@
 #include <immintrin.h>
 #endif
 
+#include "tabular/madd.hpp"
+
 namespace dart::tabular {
 
 namespace {
@@ -26,16 +28,9 @@ int quant_cap(QuantMode mode, std::size_t c, std::size_t k) {
 }
 
 // One dequantization step: y = s * acc + z. The SIMD paths use fused
-// multiply-add where the ISA has it, so the scalar twin must round
-// identically — std::fmaf guarantees a single rounding, matching
-// _mm256_fmadd_ps lane arithmetic. Without FMA both sides are mul+add.
-inline float dequant1(float s, int acc, float z) {
-#if defined(__FMA__)
-  return std::fmaf(s, static_cast<float>(acc), z);
-#else
-  return s * static_cast<float>(acc) + z;
-#endif
-}
+// multiply-add where the ISA has it, so the scalar twin rounds identically
+// through madd (one rounding with FMA, mul+add without).
+inline float dequant1(float s, int acc, float z) { return madd(s, static_cast<float>(acc), z); }
 
 inline int sat16(int v) { return std::clamp(v, -32768, 32767); }
 inline int sat8(int v) { return std::clamp(v, -128, 127); }

@@ -4,7 +4,12 @@
 #include <cmath>
 #include <stdexcept>
 
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
+
 #include "common/thread_pool.hpp"
+#include "tabular/madd.hpp"
 
 namespace dart::tabular {
 
@@ -30,6 +35,71 @@ nn::Tensor LnParams::apply(const nn::Tensor& x) const {
 }
 
 void LnParams::apply_into(const float* x, float* y, std::size_t m) const {
+#if defined(__AVX2__)
+  const std::size_t d = gamma.numel();
+  const float* g = gamma.data();
+  const float* b = beta.data();
+  const std::size_t d4 = d - d % 4;
+  const std::size_t d8 = d - d % 8;
+  // a * b + c per lane, fused where the twin's madd is (madd.hpp).
+  auto madd4 = [](__m128 a, __m128 b, __m128 c) {
+#if defined(__FMA__)
+    return _mm_fmadd_ps(a, b, c);
+#else
+    return _mm_add_ps(_mm_mul_ps(a, b), c);
+#endif
+  };
+  auto madd8 = [](__m256 a, __m256 b, __m256 c) {
+#if defined(__FMA__)
+    return _mm256_fmadd_ps(a, b, c);
+#else
+    return _mm256_add_ps(_mm256_mul_ps(a, b), c);
+#endif
+  };
+  // (l0 + l1) + (l2 + l3) of a 4-lane accumulator: the scalar twin's
+  // pairing, operands in the same order.
+  auto pair_sum = [](__m128 acc) {
+    const __m128 pairs = _mm_add_ps(acc, _mm_shuffle_ps(acc, acc, _MM_SHUFFLE(2, 3, 0, 1)));
+    return _mm_cvtss_f32(_mm_add_ss(pairs, _mm_movehl_ps(pairs, pairs)));
+  };
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* row = x + i * d;
+    float* yrow = y + i * d;
+    // Lane l of the 128-bit accumulator is the twin's s_l: it sums
+    // row[j + l] over j = 0, 4, 8, ... in the same order.
+    __m128 acc = _mm_setzero_ps();
+    for (std::size_t j = 0; j < d4; j += 4) acc = _mm_add_ps(acc, _mm_loadu_ps(row + j));
+    float mean = pair_sum(acc);
+    for (std::size_t j = d4; j < d; ++j) mean += row[j];
+    mean /= static_cast<float>(d);
+    const __m128 mean4 = _mm_set1_ps(mean);
+    acc = _mm_setzero_ps();
+    for (std::size_t j = 0; j < d4; j += 4) {
+      const __m128 diff = _mm_sub_ps(_mm_loadu_ps(row + j), mean4);
+      acc = madd4(diff, diff, acc);
+    }
+    float var = pair_sum(acc);
+    for (std::size_t j = d4; j < d; ++j) {
+      const float diff = row[j] - mean;
+      var = madd(diff, diff, var);
+    }
+    var /= static_cast<float>(d);
+    const float inv = 1.0f / std::sqrt(var + eps);
+    const __m256 mean8 = _mm256_set1_ps(mean);
+    const __m256 inv8 = _mm256_set1_ps(inv);
+    for (std::size_t j = 0; j < d8; j += 8) {
+      const __m256 centered = _mm256_sub_ps(_mm256_loadu_ps(row + j), mean8);
+      _mm256_storeu_ps(yrow + j, madd8(_mm256_mul_ps(centered, inv8), _mm256_loadu_ps(g + j),
+                                       _mm256_loadu_ps(b + j)));
+    }
+    for (std::size_t j = d8; j < d; ++j) yrow[j] = madd((row[j] - mean) * inv, g[j], b[j]);
+  }
+#else
+  apply_into_reference(x, y, m);
+#endif
+}
+
+void LnParams::apply_into_reference(const float* x, float* y, std::size_t m) const {
   const std::size_t d = gamma.numel();
   const float* g = gamma.data();
   const float* b = beta.data();
@@ -38,7 +108,7 @@ void LnParams::apply_into(const float* x, float* y, std::size_t m) const {
     float* yrow = y + i * d;
     // 4-lane reductions: strict-FP serial sums chain at add latency; four
     // independent accumulators pipeline (and match what a vectorized sum
-    // would compute, deterministically).
+    // would compute, deterministically). Products fold in through madd.
     float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
     std::size_t j = 0;
     for (; j + 4 <= d; j += 4) {
@@ -55,20 +125,20 @@ void LnParams::apply_into(const float* x, float* y, std::size_t m) const {
     for (; j + 4 <= d; j += 4) {
       const float d0 = row[j] - mean, d1 = row[j + 1] - mean;
       const float d2 = row[j + 2] - mean, d3 = row[j + 3] - mean;
-      v0 += d0 * d0;
-      v1 += d1 * d1;
-      v2 += d2 * d2;
-      v3 += d3 * d3;
+      v0 = madd(d0, d0, v0);
+      v1 = madd(d1, d1, v1);
+      v2 = madd(d2, d2, v2);
+      v3 = madd(d3, d3, v3);
     }
     float var = (v0 + v1) + (v2 + v3);
     for (; j < d; ++j) {
       const float diff = row[j] - mean;
-      var += diff * diff;
+      var = madd(diff, diff, var);
     }
     var /= static_cast<float>(d);
     const float inv = 1.0f / std::sqrt(var + eps);
     for (std::size_t jj = 0; jj < d; ++jj) {
-      yrow[jj] = (row[jj] - mean) * inv * g[jj] + b[jj];
+      yrow[jj] = madd((row[jj] - mean) * inv, g[jj], b[jj]);
     }
   }
 }
@@ -83,10 +153,11 @@ TabularArch TabularPredictor::tabular_arch() const {
   ta.layers = arch_.layers;
   const std::size_t t = ta.seq_len;
   // Persistent per-sample activations: x, scratch, qkv, concat, hidden,
-  // per-token head output (see forward_sample_into). Attention adds a
-  // transient score matrix + transposed V per head.
+  // and the pooled head's per-row outputs (a quantized head dequantizes
+  // every row; the float head needs one). Attention adds a transient score
+  // matrix per head.
   ta.float_slots = t * (2 * ta.dim + 3 * ta.dim + ta.dim + ta.ffn_dim + ta.out_dim) +
-                   ta.out_dim + t * t + ta.head_dim() * t + 64;
+                   ta.out_dim + t * t + 64;
   // Codes are transient per kernel call (mark/rewind), so the demand is the
   // max over kernels, not the sum.
   std::size_t codes = 0;
@@ -167,22 +238,14 @@ void TabularPredictor::forward_block_into(const float* addr, const float* pc, st
   }
 
   final_ln.apply_into(x, x, rows);
+  // Head kernel fused into the mean pool: per sample, the sum over tokens
+  // of each output row times 1/T (in token order, from 0), then the
+  // sigmoid LUT.
   const std::size_t out_d = arch_.out_dim;
-  float* per_token = ws.floats(rows * out_d);
-  head_kernel->query_into(x, rows, d, per_token, out_d, ws);
-  // Mean pool + sigmoid LUT, per sample.
   const float inv_t = 1.0f / static_cast<float>(t_len);
-  for (std::size_t s = 0; s < n; ++s) {
-    float* probs = probs_out + s * out_d;
-    const float* pt = per_token + s * t_len * out_d;
-    for (std::size_t j = 0; j < out_d; ++j) probs[j] = 0.0f;
-    for (std::size_t t = 0; t < t_len; ++t) {
-      const float* row = pt + t * out_d;
-      for (std::size_t j = 0; j < out_d; ++j) probs[j] += row[j] * inv_t;
-    }
-    push_stage(stages, probs, 1, out_d);
-    sigmoid_lut.apply_batch(probs, out_d, probs);
-  }
+  head_kernel->query_pooled_into(x, n, t_len, d, inv_t, probs_out, ws);
+  push_stage(stages, probs_out, 1, out_d);
+  sigmoid_lut.apply_batch(probs_out, n * out_d, probs_out);
   ws.rewind(frame);
 }
 
@@ -207,9 +270,12 @@ nn::Tensor TabularPredictor::forward(const nn::Tensor& addr, const nn::Tensor& p
   // encoder calls (128+ rows each), small enough that the activation
   // buffers stay L2-resident — larger blocks measurably degrade (the seed's
   // "slower past batch 16" effect was this spill).
+  // The same constant is the pool's minimum grain: forking a batch of 2-16
+  // samples across workers costs more than it saves (small batches ran
+  // slower than batch 1), so a block below it runs inline.
   constexpr std::size_t kMaxBlockSamples = 16;
   TabularArch ta = tabular_arch();
-  const std::size_t nb = common::plan_blocks(b_sz, 1);
+  const std::size_t nb = common::plan_blocks(b_sz, kMaxBlockSamples);
   const std::size_t per_block = std::min(kMaxBlockSamples, (b_sz + nb - 1) / nb);
   ta.float_slots *= per_block;
   ta.code_slots *= per_block;
@@ -224,7 +290,7 @@ nn::Tensor TabularPredictor::forward(const nn::Tensor& addr, const nn::Tensor& p
       forward_block_into(addr.data() + s0 * t_len * sa, pc.data() + s0 * t_len * sp, bn,
                          out.row(s0), ws);
     }
-  }, 1);
+  }, kMaxBlockSamples);
   return out;
 }
 

@@ -34,8 +34,14 @@ struct LnParams {
   nn::Tensor apply(const nn::Tensor& x) const;
 
   /// Normalizes `m` rows of width `gamma.numel()` from `x` into `y`
-  /// (in-place safe: `y` may equal `x`).
+  /// (in-place safe: `y` may equal `x`). With AVX2 the 4-lane sums run as
+  /// one 128-bit accumulator and the affine step 8 lanes wide, with the
+  /// scalar twin's operations in its order, so results are bit-identical.
   void apply_into(const float* x, float* y, std::size_t m) const;
+
+  /// The scalar twin of `apply_into` (the path of builds without AVX2); the
+  /// bit-exactness tests pin the SIMD path against it.
+  void apply_into_reference(const float* x, float* y, std::size_t m) const;
 };
 
 /// One tabularized encoder layer.

@@ -26,13 +26,17 @@
 #include "io/artifact.hpp"
 #include "nn/tensor.hpp"
 #include "nn/transformer.hpp"
-#include "serve/fault.hpp"
+#include "common/fault.hpp"
 #include "serve/server.hpp"
 #include "tabular/tabular_predictor.hpp"
 #include "tabular/tabularizer.hpp"
 
 namespace dart::serve {
 namespace {
+
+using common::FaultInjector;
+using common::fault_injector;
+using common::parse_fault_specs;
 
 nn::ModelConfig tiny_arch() {
   nn::ModelConfig a;
