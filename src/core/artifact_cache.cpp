@@ -87,16 +87,12 @@ TrainedDart train_dart(Pipeline& pipe, const sim::DartModelRequest& request) {
   if (reuse_default_student) {
     out.predictor = pipe.tabularize(tab);
   } else {
-    PipelineOptions po = popts;
-    po.student_arch = v.arch;
-    Pipeline variant_pipe(pipe.workload(), po);
-    // Share the prepared data by re-preparing (deterministic: same seed).
-    variant_pipe.prepare();
-    nn::AddressPredictor& teacher = pipe.teacher();
-    nn::AddressPredictor student(v.arch, common::derive_seed(po.seed, 3));
-    nn::train_distill(student, teacher, variant_pipe.train_set(), po.student_train, po.kd);
-    out.predictor = tabular::tabularize(student, variant_pipe.train_set().addr,
-                                        variant_pipe.train_set().pc, tab);
+    // The S/L students differ from the pipeline's only in architecture, so
+    // they distill from the same teacher on the same training split.
+    const nn::Dataset& train = pipe.train_set();
+    nn::AddressPredictor student(v.arch, common::derive_seed(popts.seed, 3));
+    nn::train_distill(student, pipe.teacher(), train, popts.student_train, popts.kd);
+    out.predictor = tabular::tabularize(student, train.addr, train.pc, tab);
   }
   out.tables = v.tables;
   out.prep = popts.prep;

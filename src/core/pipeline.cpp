@@ -8,7 +8,6 @@
 #include "common/rng.hpp"
 #include "core/configs.hpp"
 #include "io/artifact.hpp"
-#include "nn/serialize.hpp"
 #include "sim/simulator.hpp"
 
 namespace dart::core {
@@ -21,46 +20,6 @@ void append_train(io::ByteWriter& w, const nn::TrainOptions& t) {
   w.f32(t.lr);
   w.f32(t.pos_weight);
   w.u64(t.shuffle_seed);
-}
-
-/// Restores `model` from `path` when the checkpoint exists and matches the
-/// architecture; any failure (missing, stale, corrupt) just means "train".
-/// CAUTION: load_params copies tensors into the live model before it can
-/// detect a truncated tail, so on `false` the model may hold a mix of
-/// checkpoint and seeded weights — callers must reinitialize it before
-/// training (see the call sites).
-template <typename Model>
-bool try_load_checkpoint(Model& model, const std::string& path) {
-  if (path.empty() || !std::filesystem::exists(path)) return false;
-  try {
-    nn::load_model(model, path);
-    return true;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "[dart] ignoring stale checkpoint %s: %s\n", path.c_str(), e.what());
-    return false;
-  }
-}
-
-/// Best-effort save: a read-only cache directory degrades to retraining
-/// next run, never to a failure of the current one. Writes to a temp file
-/// and renames, so a crash mid-write cannot leave a truncated checkpoint
-/// under the final name.
-template <typename Model>
-void save_checkpoint(Model& model, const std::string& path) {
-  if (path.empty()) return;
-  std::error_code ec;
-  std::filesystem::create_directories(std::filesystem::path(path).parent_path(), ec);
-  const std::string tmp = path + ".tmp";
-  if (!nn::save_model(model, tmp)) {
-    std::fprintf(stderr, "[dart] could not write checkpoint %s\n", path.c_str());
-    std::filesystem::remove(tmp, ec);
-    return;
-  }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::fprintf(stderr, "[dart] could not rename checkpoint into %s\n", path.c_str());
-    std::filesystem::remove(tmp, ec);
-  }
 }
 
 }  // namespace
@@ -126,10 +85,41 @@ PipelineOptions PipelineOptions::bench_defaults() {
   return o;
 }
 
-std::string Pipeline::checkpoint_path(const char* model) {
-  if (opts_.artifact_dir.empty()) return "";
+template <typename Model, typename Train>
+void Pipeline::load_or_train(Model& model, const char* role, Train&& train) {
+  if (opts_.artifact_dir.empty()) {
+    train();
+    return;
+  }
   if (cache_key_.empty()) cache_key_ = pipeline_cache_key(workload_, opts_);
-  return opts_.artifact_dir + "/" + workload_.name() + "-" + model + "-" + cache_key_ + ".ckpt";
+  const std::string path =
+      opts_.artifact_dir + "/" + workload_.name() + "-" + role + "-" + cache_key_ + ".ckpt";
+  if (std::filesystem::exists(path)) {
+    try {
+      // The loader validates the whole file before adopting any weight, so
+      // a failed load leaves the seeded model as it was for training.
+      io::load_checkpoint(path, model.params(), cache_key_);
+      return;
+    } catch (const io::ArtifactError& e) {
+      std::fprintf(stderr, "[dart] ignoring stale checkpoint: %s\n", e.what());
+    }
+  }
+  train();
+  // Best-effort save: a read-only cache directory degrades to retraining
+  // next run, never to a failure of the current one.
+  io::ArtifactMeta meta;
+  meta.producer = "pipeline";
+  meta.app = workload_.name();
+  meta.display_name = role;
+  meta.config_key = cache_key_;
+  meta.prep = opts_.prep;
+  std::error_code ec;
+  std::filesystem::create_directories(opts_.artifact_dir, ec);
+  try {
+    io::save_checkpoint(path, model.params(), meta);
+  } catch (const io::ArtifactError& e) {
+    std::fprintf(stderr, "[dart] could not write checkpoint: %s\n", e.what());
+  }
 }
 
 Pipeline::Pipeline(trace::Workload workload, const PipelineOptions& options)
@@ -158,15 +148,8 @@ nn::AddressPredictor& Pipeline::teacher() {
     prepare();
     teacher_ = std::make_shared<nn::AddressPredictor>(opts_.teacher_arch,
                                                       common::derive_seed(opts_.seed, 2));
-    const std::string ckpt = checkpoint_path("teacher");
-    if (!try_load_checkpoint(*teacher_, ckpt)) {
-      // Rebuild from the seeded init: a corrupt checkpoint may have
-      // partially overwritten the weights before the load failed.
-      teacher_ = std::make_shared<nn::AddressPredictor>(opts_.teacher_arch,
-                                                        common::derive_seed(opts_.seed, 2));
-      nn::train_bce(*teacher_, train_, opts_.teacher_train);
-      save_checkpoint(*teacher_, ckpt);
-    }
+    load_or_train(*teacher_, "teacher",
+                  [&] { nn::train_bce(*teacher_, train_, opts_.teacher_train); });
   }
   return *teacher_;
 }
@@ -191,16 +174,12 @@ nn::AddressPredictor& Pipeline::student() {
     prepare();
     student_ = std::make_unique<nn::AddressPredictor>(opts_.student_arch,
                                                       common::derive_seed(opts_.seed, 3));
-    const std::string ckpt = checkpoint_path("student");
     // A student checkpoint hit also skips teacher training entirely — the
     // teacher's only role in the distilled pipeline is producing the
     // student's soft targets.
-    if (!try_load_checkpoint(*student_, ckpt)) {
-      student_ = std::make_unique<nn::AddressPredictor>(opts_.student_arch,
-                                                        common::derive_seed(opts_.seed, 3));
+    load_or_train(*student_, "student", [&] {
       nn::train_distill(*student_, teacher(), train_, opts_.student_train, opts_.kd);
-      save_checkpoint(*student_, ckpt);
-    }
+    });
   }
   return *student_;
 }
@@ -224,14 +203,7 @@ nn::LstmPredictor& Pipeline::lstm_baseline() {
     lstm_ = std::make_shared<nn::LstmPredictor>(
         opts_.prep.addr_segments, opts_.prep.pc_segments, /*hidden=*/64,
         opts_.prep.bitmap_size, common::derive_seed(opts_.seed, 4));
-    const std::string ckpt = checkpoint_path("lstm");
-    if (!try_load_checkpoint(*lstm_, ckpt)) {
-      lstm_ = std::make_shared<nn::LstmPredictor>(
-          opts_.prep.addr_segments, opts_.prep.pc_segments, /*hidden=*/64,
-          opts_.prep.bitmap_size, common::derive_seed(opts_.seed, 4));
-      nn::train_bce(*lstm_, train_, opts_.student_train);
-      save_checkpoint(*lstm_, ckpt);
-    }
+    load_or_train(*lstm_, "lstm", [&] { nn::train_bce(*lstm_, train_, opts_.student_train); });
   }
   return *lstm_;
 }

@@ -33,10 +33,13 @@ struct PipelineOptions {
   std::size_t raw_accesses = 400000;  ///< generated accesses per app
   double train_frac = 0.75;
   std::uint64_t seed = 42;
-  /// Directory for trained-artifact caching (NN checkpoints here; `.dart`
-  /// files via core/artifact_cache.hpp). Empty disables caching. Stale
-  /// entries are detected by a configuration hash in the file name
-  /// (`pipeline_cache_key`), so changing any knob retrains automatically.
+  /// Directory for trained-artifact caching: teacher/student/LSTM
+  /// checkpoints here (`<app>-<role>-<key>.ckpt`, stored in the `.dart`
+  /// container, DESIGN.md §7), `.dart` tables via core/artifact_cache.hpp.
+  /// Empty disables caching. Stale entries are detected by the configuration
+  /// hash (`pipeline_cache_key`) in the file name and in the META chunk, so
+  /// changing any knob retrains automatically; an unreadable checkpoint is
+  /// retrained and overwritten.
   std::string artifact_dir;
 
   /// Defaults scaled for CPU benches; reads DART_* env knobs (DESIGN.md §5),
@@ -101,9 +104,11 @@ class Pipeline {
   const PipelineOptions& options() const { return opts_; }
 
  private:
-  /// Checkpoint path for `model` ("teacher"/"student"/"lstm") under
-  /// `opts_.artifact_dir`, or "" when caching is disabled.
-  std::string checkpoint_path(const char* model);
+  /// Restores `model` from its `role` ("teacher"/"student"/"lstm") checkpoint
+  /// under `opts_.artifact_dir`, or runs `train` and best-effort saves one.
+  /// Always just trains when caching is disabled.
+  template <typename Model, typename Train>
+  void load_or_train(Model& model, const char* role, Train&& train);
 
   trace::Workload workload_;
   PipelineOptions opts_;

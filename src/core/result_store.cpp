@@ -134,17 +134,11 @@ ResultStore::~ResultStore() {
 }
 
 void ResultStore::replay_and_recover() {
+  // A missing log is an empty store; anything else at that path (a
+  // directory, an unreadable file) is an error, never silently empty.
+  std::error_code ec;
   std::vector<std::uint8_t> bytes;
-  {
-    std::ifstream in(path_, std::ios::binary | std::ios::ate);
-    if (in) {
-      const std::streamsize n = in.tellg();
-      bytes.resize(static_cast<std::size_t>(n));
-      in.seekg(0);
-      if (n > 0) in.read(reinterpret_cast<char*>(bytes.data()), n);
-      if (!in) throw io::ArtifactError("cannot read result store '" + path_ + "'");
-    }
-  }
+  if (std::filesystem::exists(path_, ec)) bytes = io::read_file(path_);
   const std::size_t disk_size = bytes.size();
   // Chaos hook: an armed corrupt-store-tail fault chops the image here,
   // simulating the torn final write the recovery below must absorb.

@@ -1,7 +1,6 @@
 #include "io/artifact.hpp"
 
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -23,6 +22,7 @@ constexpr char kTagArch[5] = "ARCH";
 constexpr char kTagPredictor[5] = "TPRD";
 constexpr char kTagFused[5] = "FUSD";
 constexpr char kTagQuant[5] = "QNTT";
+constexpr char kTagParams[5] = "PARM";
 constexpr char kTagChecksum[5] = "CSUM";
 
 constexpr std::uint8_t kEncoderExact = 0;
@@ -159,17 +159,6 @@ class ChunkReader {
   std::uint32_t version_ = 0;
   std::uint64_t hash_ = 0;
 };
-
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw ArtifactError("cannot open artifact '" + path + "'");
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  if (size > 0) in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!in) throw ArtifactError("failed reading artifact '" + path + "'");
-  return bytes;
-}
 
 // ------------------------------------------------- config (de)serializers
 // (the put_* side is public — see artifact.hpp — so cache keys and chunks
@@ -710,8 +699,6 @@ std::uint64_t save_predictor_artifact(const std::string& path,
   });
 }
 
-std::vector<std::uint8_t> read_artifact_file(const std::string& path) { return read_file(path); }
-
 tabular::TabularPredictor load_predictor_artifact_bytes(std::vector<std::uint8_t> bytes,
                                                         const std::string& name,
                                                         ArtifactInfo* info) {
@@ -747,8 +734,9 @@ tabular::TabularPredictor clone_predictor(const tabular::TabularPredictor& predi
 }
 
 ArtifactInfo read_artifact_info(const std::string& path) {
+  std::vector<std::uint8_t> bytes = read_file(path);
   return with_clean_errors(path, [&] {
-    ChunkReader container(read_file(path));
+    ChunkReader container(std::move(bytes));
     return info_from_container(container);
   });
 }
@@ -780,8 +768,9 @@ std::uint64_t save_fused_artifact(const std::string& path, const tabular::FusedK
 }
 
 tabular::FusedKernel load_fused_artifact(const std::string& path, ArtifactInfo* info) {
+  std::vector<std::uint8_t> bytes = read_file(path);
   return with_clean_errors(path, [&]() -> tabular::FusedKernel {
-    ChunkReader container(read_file(path));
+    ChunkReader container(std::move(bytes));
     ByteReader r = container.require(kTagFused);
     const std::size_t in_dim = r.u64();
     const std::size_t out_dim = r.u64();
@@ -806,6 +795,63 @@ tabular::FusedKernel load_fused_artifact(const std::string& path, ArtifactInfo* 
     }
     if (info) *info = info_from_container(container);
     return kernel;
+  });
+}
+
+std::uint64_t save_checkpoint(const std::string& path, const std::vector<nn::Param*>& params,
+                              const ArtifactMeta& meta) {
+  return with_clean_errors(path, [&] {
+    ChunkWriter out;
+    put_meta(out.chunk(kTagMeta), meta);
+    ByteWriter& w = out.chunk(kTagParams);
+    w.u64(params.size());
+    for (const nn::Param* p : params) {
+      w.str(p->name);
+      w.tensor(p->value);
+    }
+    return out.write(path);
+  });
+}
+
+void load_checkpoint(const std::string& path, const std::vector<nn::Param*>& params,
+                     const std::string& config_key) {
+  std::vector<std::uint8_t> bytes = read_file(path);
+  with_clean_errors(path, [&] {
+    // Validate the whole image before writing to `params`: a failure at any
+    // byte leaves the model exactly as it was.
+    ChunkReader container(std::move(bytes));
+    in_chunk(container, kTagMeta, [&](ByteReader& r) {
+      const std::string stored = get_meta(r).config_key;
+      if (stored != config_key) {
+        throw ArtifactError("checkpoint config key '" + stored + "' is not the expected '" +
+                            config_key + "'");
+      }
+      return 0;
+    });
+    const std::vector<nn::Tensor> values = in_chunk(container, kTagParams, [&](ByteReader& r) {
+      const std::uint64_t count = r.u64();
+      if (count != params.size()) {
+        throw ArtifactError("checkpoint holds " + std::to_string(count) +
+                            " parameters, the model has " + std::to_string(params.size()));
+      }
+      std::vector<nn::Tensor> out;
+      out.reserve(params.size());
+      for (const nn::Param* p : params) {
+        const std::string name = r.str();
+        if (name != p->name) {
+          throw ArtifactError("expected parameter '" + p->name + "', found '" + name + "'");
+        }
+        out.push_back(r.tensor());
+        if (out.back().shape() != p->value.shape()) {
+          throw ArtifactError("shape mismatch for parameter '" + name + "'");
+        }
+      }
+      if (!r.done()) throw ArtifactError("trailing bytes in parameter chunk");
+      return out;
+    });
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      std::memcpy(params[i]->value.data(), values[i].data(), values[i].numel() * sizeof(float));
+    }
   });
 }
 

@@ -8,6 +8,9 @@
 // preprocessing geometry, and a configuration cache key). Serving processes
 // (`tools/dart_run`, the `dart-artifact` prefetcher spec) cold-start from it
 // in milliseconds, with predictions bit-exact vs the training process.
+// The same container also holds the pipeline's NN checkpoints (teacher,
+// student, LSTM baseline: META + PARM chunks), so there is one durable
+// on-disk format.
 //
 // Container layout (chunk-tagged, little-endian, 8-byte aligned; the full
 // byte-level spec is DESIGN.md §7):
@@ -78,14 +81,10 @@ std::uint64_t save_predictor_artifact(const std::string& path,
 tabular::TabularPredictor load_predictor_artifact(const std::string& path,
                                                   ArtifactInfo* info = nullptr);
 
-/// Reads the raw bytes of the artifact file at `path` (no parsing). Throws
-/// ArtifactError on I/O failure. Pairs with load_predictor_artifact_bytes
-/// so callers can validate an image fully before acting on it — the
-/// serve-side validate-then-publish reload (DESIGN.md §11) and the
-/// fault-injection hooks both work on this byte image.
-std::vector<std::uint8_t> read_artifact_file(const std::string& path);
-
-/// Parses a predictor artifact from an in-memory byte image. `name` labels
+/// Parses a predictor artifact from an in-memory byte image (read with
+/// io::read_file), so callers can validate an image fully before acting on
+/// it — the serve-side validate-then-publish reload (DESIGN.md §11) and the
+/// fault-injection hooks both work on this byte image. `name` labels
 /// error messages (usually the originating path). Error strings carry the
 /// failing chunk tag and file byte offset, e.g.
 /// "model.dart: chunk 'TPRD' at byte offset 128: truncated ...".
@@ -111,6 +110,21 @@ std::uint64_t save_fused_artifact(const std::string& path, const tabular::FusedK
 /// Loads a fused-kernel artifact saved by `save_fused_artifact`; bit-exact.
 /// Throws ArtifactError on malformed files.
 tabular::FusedKernel load_fused_artifact(const std::string& path, ArtifactInfo* info = nullptr);
+
+/// Writes an NN checkpoint — the name, shape and value of every parameter in
+/// `params`, plus `meta` — to `path` as a `.dart` container (META + PARM
+/// chunks, DESIGN.md §7). Returns the content hash. Throws ArtifactError on
+/// I/O failure.
+std::uint64_t save_checkpoint(const std::string& path, const std::vector<nn::Param*>& params,
+                              const ArtifactMeta& meta);
+
+/// Loads a checkpoint saved by `save_checkpoint` into `params`. Validates the
+/// whole image first — checksum, META config key equal to `config_key`,
+/// parameter count, every name and shape in order — and only then copies the
+/// values, so on failure it throws ArtifactError (path, chunk tag and byte
+/// offset) and leaves every parameter untouched.
+void load_checkpoint(const std::string& path, const std::vector<nn::Param*>& params,
+                     const std::string& config_key);
 
 // Shared config field codecs. The artifact chunks and the configuration
 // cache keys (core::pipeline_cache_key) serialize through the SAME

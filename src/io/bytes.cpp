@@ -2,7 +2,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -225,7 +227,29 @@ nn::Tensor ByteReader::tensor() {
   return t;
 }
 
-// ------------------------------------------------------------ atomic write
+// ------------------------------------------------------------ whole files
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::error_code ec;
+  const std::filesystem::file_status status = std::filesystem::status(path, ec);
+  if (!std::filesystem::exists(status)) {
+    throw ArtifactError("cannot open '" + path + "'" + (ec ? ": " + ec.message() : ""));
+  }
+  // Checked before opening: an ifstream opens a directory on Linux and
+  // sizes it at LLONG_MAX, which would turn into a giant allocation.
+  if (!std::filesystem::is_regular_file(status)) {
+    throw ArtifactError("'" + path + "' is not a regular file");
+  }
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) throw ArtifactError("cannot open '" + path + "'");
+  const std::streamsize size = in.tellg();
+  if (size < 0) throw ArtifactError("cannot size '" + path + "'");
+  in.seekg(0);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  if (size > 0) in.read(reinterpret_cast<char*>(bytes.data()), size);
+  if (!in) throw ArtifactError("failed reading '" + path + "'");
+  return bytes;
+}
 
 void write_file_atomic(const std::string& path, const void* data, std::size_t n) {
   // The temp lives next to the target so the rename never crosses a

@@ -126,6 +126,12 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
+/// Reads the whole regular file at `path`. Throws ArtifactError naming the
+/// path when it cannot be opened, is not a regular file (a directory, a
+/// FIFO), or cannot be sized or read in full — so every whole-file reader
+/// (artifacts, NN checkpoints, the result store) fails the same clean way.
+std::vector<std::uint8_t> read_file(const std::string& path);
+
 /// Atomically replaces `path` with `n` bytes of `data`: writes a sibling
 /// temp file, fsyncs it, renames it over `path`, and fsyncs the parent
 /// directory. A crash at any point leaves either the old file or the new

@@ -134,7 +134,7 @@ std::uint64_t PrefetchServer::swap_artifact(const std::string& path) {
       // and (below, in swap_model) geometry-check it before any shard can
       // observe the new epoch. The quant mode is applied inside the load,
       // so shards only ever adopt fully-quantized models.
-      std::vector<std::uint8_t> bytes = io::read_artifact_file(path);
+      std::vector<std::uint8_t> bytes = io::read_file(path);
       common::fault_injector().mutate_artifact(bytes);
       predictor =
           core::load_dart_artifact_bytes(std::move(bytes), path, nullptr, config_.quant).predictor;

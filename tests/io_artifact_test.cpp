@@ -1,8 +1,9 @@
 // Tests for the versioned `.dart` artifact store (src/io, DESIGN.md §7):
 // bit-exact round trips of the full predictor bundle (exact and hash-tree
-// encoders) and of the fused kernel, clean errors on truncated / corrupted /
-// version-mismatched files, stale-configuration rejection, and the
-// train-once ExperimentRunner artifact cache.
+// encoders), of the fused kernel and of NN checkpoints, clean errors on
+// truncated / corrupted / version-mismatched files and non-regular paths,
+// validate-then-adopt checkpoint loads, stale-configuration rejection, and
+// the train-once ExperimentRunner artifact cache.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,6 +15,7 @@
 #include "core/artifact_cache.hpp"
 #include "core/experiment.hpp"
 #include "io/artifact.hpp"
+#include "nn/lstm.hpp"
 #include "nn/transformer.hpp"
 #include "pq/encoder.hpp"
 #include "tabular/fused_kernel.hpp"
@@ -335,6 +337,197 @@ TEST(Artifact, HashTreeRawConstructorValidatesTree) {
   EXPECT_THROW(pq::HashTreeEncoder(nodes, {-1, -1, -1}, 2, 3), std::invalid_argument);
   // Array sizes inconsistent with K.
   EXPECT_THROW(pq::HashTreeEncoder(nodes, leaves, 4, 3), std::invalid_argument);
+}
+
+// ---------------------------------------------------------- directory paths
+// A directory opens as an ifstream on Linux and sizes at LLONG_MAX; every
+// whole-file reader must refuse it with an ArtifactError naming the path.
+
+TEST(Artifact, DirectoryPathIsACleanErrorNamingThePath) {
+  const std::string dir = temp_path("dart_artifact_dir.dart");
+  std::filesystem::create_directories(dir);
+  auto expect_clean = [&dir](auto&& load, const char* what) {
+    try {
+      load();
+      ADD_FAILURE() << what << " accepted a directory";
+    } catch (const io::ArtifactError& e) {
+      EXPECT_NE(std::string(e.what()).find(dir), std::string::npos)
+          << what << ": error does not name the path: " << e.what();
+    }
+  };
+  expect_clean([&] { io::read_file(dir); }, "read_file");
+  expect_clean([&] { io::load_predictor_artifact(dir); }, "load_predictor_artifact");
+  expect_clean([&] { io::read_artifact_info(dir); }, "read_artifact_info");
+  nn::AddressPredictor model(tiny_arch(), 3);
+  expect_clean([&] { io::load_checkpoint(dir, model.params(), ""); }, "load_checkpoint");
+  std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------------------ NN checkpoints
+// Teacher/student/LSTM checkpoints live in the same container (META + PARM).
+// The loader validates the whole image before adopting a single weight.
+
+/// The raw bytes of every parameter value in `params`, in order: what a
+/// rejected load must leave untouched (compared bitwise, so -0.0 != 0.0).
+std::vector<std::uint8_t> param_bytes(const std::vector<nn::Param*>& params) {
+  std::vector<std::uint8_t> out;
+  for (const nn::Param* p : params) {
+    const auto* b = reinterpret_cast<const std::uint8_t*>(p->value.data());
+    out.insert(out.end(), b, b + p->value.numel() * sizeof(float));
+  }
+  return out;
+}
+
+io::ArtifactMeta checkpoint_meta(const std::string& config_key) {
+  io::ArtifactMeta meta;
+  meta.producer = "io_artifact_test";
+  meta.config_key = config_key;
+  return meta;
+}
+
+template <typename Model>
+void expect_same_logits(Model& a, Model& b) {
+  nn::Tensor addr = nn::Tensor::randn({2, 4, 4}, 0.5f, 5);
+  nn::Tensor pc = nn::Tensor::randn({2, 4, 4}, 0.5f, 6);
+  nn::Tensor ya = a.forward(addr, pc);
+  nn::Tensor yb = b.forward(addr, pc);
+  ASSERT_EQ(ya.numel(), yb.numel());
+  EXPECT_EQ(0, std::memcmp(ya.data(), yb.data(), ya.numel() * sizeof(float)));
+}
+
+TEST(Checkpoint, RoundTripsAddressPredictorBitExact) {
+  const std::string path = temp_path("dart_ckpt_roundtrip.ckpt");
+  nn::AddressPredictor a(tiny_arch(), 3);
+  const std::uint64_t hash = io::save_checkpoint(path, a.params(), checkpoint_meta("k"));
+  EXPECT_EQ(hash, io::read_artifact_info(path).content_hash);
+  nn::AddressPredictor b(tiny_arch(), 99);  // different init
+  io::load_checkpoint(path, b.params(), "k");
+  EXPECT_EQ(param_bytes(a.params()), param_bytes(b.params()));
+  expect_same_logits(a, b);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, RoundTripsLstmPredictorBitExact) {
+  const std::string path = temp_path("dart_ckpt_lstm.ckpt");
+  nn::LstmPredictor a(4, 4, /*hidden=*/8, /*out_dim=*/12, 3);
+  io::save_checkpoint(path, a.params(), checkpoint_meta("k"));
+  nn::LstmPredictor b(4, 4, 8, 12, 99);
+  io::load_checkpoint(path, b.params(), "k");
+  EXPECT_EQ(param_bytes(a.params()), param_bytes(b.params()));
+  expect_same_logits(a, b);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, RejectsWrongArchitectureAndLeavesTheModelUntouched) {
+  const std::string path = temp_path("dart_ckpt_badarch.ckpt");
+  nn::AddressPredictor a(tiny_arch(), 3);
+  io::save_checkpoint(path, a.params(), checkpoint_meta("k"));
+  // Same names, different shapes. A wider model differs from the first
+  // parameter on. A wider head differs only in the head's weight and bias,
+  // so every tensor before them fits and only a loader that validates the
+  // whole image before copying leaves those untouched.
+  nn::ModelConfig wider = tiny_arch();
+  wider.dim = 16;
+  nn::ModelConfig wider_head = tiny_arch();
+  wider_head.out_dim = 24;
+  for (const nn::ModelConfig& arch : {wider, wider_head}) {
+    nn::AddressPredictor b(arch, 99);
+    const std::vector<std::uint8_t> before = param_bytes(b.params());
+    EXPECT_THROW(io::load_checkpoint(path, b.params(), "k"), io::ArtifactError);
+    EXPECT_EQ(before, param_bytes(b.params())) << "out_dim " << arch.out_dim;
+  }
+  nn::LstmPredictor lstm(4, 4, 8, 12, 3);  // different names and count
+  EXPECT_THROW(io::load_checkpoint(path, lstm.params(), "k"), io::ArtifactError);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, RejectsMissingAndGarbageFiles) {
+  nn::AddressPredictor a(tiny_arch(), 3);
+  EXPECT_THROW(io::load_checkpoint(temp_path("dart_ckpt_absent.ckpt"), a.params(), ""),
+               io::ArtifactError);
+  const std::string path = temp_path("dart_ckpt_garbage.ckpt");
+  spit(path, {'g', 'a', 'r', 'b', 'a', 'g', 'e'});
+  EXPECT_THROW(io::load_checkpoint(path, a.params(), ""), io::ArtifactError);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, RejectsAForeignConfigKeyInMeta) {
+  const std::string path = temp_path("dart_ckpt_key.ckpt");
+  nn::AddressPredictor a(tiny_arch(), 3);
+  io::save_checkpoint(path, a.params(), checkpoint_meta("trained-with-this"));
+  nn::AddressPredictor b(tiny_arch(), 99);
+  const std::vector<std::uint8_t> before = param_bytes(b.params());
+  try {
+    io::load_checkpoint(path, b.params(), "expected-this");
+    FAIL() << "checkpoint with a foreign config key was adopted";
+  } catch (const io::ArtifactError& e) {
+    EXPECT_NE(std::string(e.what()).find("chunk 'META'"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(before, param_bytes(b.params()));
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, TableAndCheckpointLoadersRejectEachOthersFiles) {
+  const std::string table = temp_path("dart_ckpt_cross.dart");
+  const std::string ckpt = temp_path("dart_ckpt_cross.ckpt");
+  tiny_predictor(pq::EncoderKind::kExact).save(table);
+  nn::AddressPredictor model(tiny_arch(), 3);
+  io::save_checkpoint(ckpt, model.params(), checkpoint_meta(""));
+  try {
+    io::load_predictor_artifact(ckpt);
+    ADD_FAILURE() << "a checkpoint loaded as a table artifact";
+  } catch (const io::ArtifactError& e) {
+    EXPECT_NE(std::string(e.what()).find("ARCH"), std::string::npos) << e.what();
+  }
+  const std::vector<std::uint8_t> before = param_bytes(model.params());
+  try {
+    io::load_checkpoint(table, model.params(), "");
+    ADD_FAILURE() << "a table artifact loaded as a checkpoint";
+  } catch (const io::ArtifactError& e) {
+    EXPECT_NE(std::string(e.what()).find("PARM"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(before, param_bytes(model.params()));
+  std::remove(table.c_str());
+  std::remove(ckpt.c_str());
+}
+
+TEST(Checkpoint, EveryTruncationAndByteFlipThrowsAndLeavesTheModelUntouched) {
+  const std::string path = temp_path("dart_ckpt_mutate.ckpt");
+  nn::AddressPredictor source(tiny_arch(), 3);
+  io::save_checkpoint(path, source.params(), checkpoint_meta("k"));
+  const std::vector<char> clean = slurp(path);
+  nn::AddressPredictor target(tiny_arch(), 99);
+  const std::vector<std::uint8_t> before = param_bytes(target.params());
+  ASSERT_NE(before, param_bytes(source.params()));
+  // Stops at the first mutation that loads or disturbs the target, so a
+  // regression reports one offset instead of thousands.
+  auto rejected_untouched = [&](const std::vector<char>& bytes, const std::string& what) {
+    // Unlink first: rewriting over a truncated file makes some filesystems
+    // flush on close, which costs milliseconds per mutation here.
+    std::remove(path.c_str());
+    spit(path, bytes);
+    try {
+      io::load_checkpoint(path, target.params(), "k");
+      ADD_FAILURE() << what << " loaded without error";
+      return false;
+    } catch (const io::ArtifactError&) {
+    }
+    if (param_bytes(target.params()) != before) {
+      ADD_FAILURE() << what << " modified the model before failing";
+      return false;
+    }
+    return true;
+  };
+  for (std::size_t keep = 0; keep < clean.size(); ++keep) {
+    const std::vector<char> cut(clean.begin(), clean.begin() + static_cast<std::ptrdiff_t>(keep));
+    if (!rejected_untouched(cut, "truncation to " + std::to_string(keep) + " bytes")) break;
+  }
+  for (std::size_t pos = 0; pos < clean.size(); ++pos) {
+    std::vector<char> flipped = clean;
+    flipped[pos] = static_cast<char>(flipped[pos] ^ 0xFF);
+    if (!rejected_untouched(flipped, "flipping byte " + std::to_string(pos))) break;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ArtifactCache, RejectsStaleConfigKey) {

@@ -1,10 +1,16 @@
 // Integration tests across the whole stack: trace -> dataset -> teacher ->
-// KD student -> tabularization -> simulator, on shrunken configurations.
+// KD student -> tabularization -> simulator, on shrunken configurations,
+// plus recovery from a torn checkpoint in the artifact directory.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <filesystem>
+#include <vector>
 
 #include "core/configs.hpp"
 #include "core/experiment.hpp"
 #include "core/pipeline.hpp"
+#include "io/artifact.hpp"
 
 namespace dart::core {
 namespace {
@@ -63,6 +69,44 @@ TEST(PipelineIntegration, DeterministicAcrossRuns) {
   const double fa = a.eval_nn(a.teacher()).f1;
   const double fb = b.eval_nn(b.teacher()).f1;
   EXPECT_DOUBLE_EQ(fa, fb);
+}
+
+/// The raw bytes of every parameter of `model`, in order.
+template <typename Model>
+std::vector<std::uint8_t> weight_bytes(Model& model) {
+  std::vector<std::uint8_t> out;
+  for (const nn::Param* p : model.params()) {
+    const auto* b = reinterpret_cast<const std::uint8_t*>(p->value.data());
+    out.insert(out.end(), b, b + p->value.numel() * sizeof(float));
+  }
+  return out;
+}
+
+TEST(PipelineIntegration, CorruptTeacherCheckpointIsRetrainedBitExactAndReplaced) {
+  PipelineOptions o = tiny_options();
+  o.teacher_train.epochs = 1;
+  o.artifact_dir = (std::filesystem::temp_directory_path() / "dart_pipeline_ckpt").string();
+  std::filesystem::remove_all(o.artifact_dir);
+  const trace::Workload workload(trace::App::kLibquantum);
+  const std::string key = pipeline_cache_key(workload, o);
+  const std::string path = o.artifact_dir + "/" + workload.name() + "-teacher-" + key + ".ckpt";
+
+  Pipeline cold(workload, o);
+  const std::vector<std::uint8_t> trained = weight_bytes(cold.teacher());
+  ASSERT_TRUE(std::filesystem::exists(path)) << "cold run wrote no teacher checkpoint";
+
+  // Tear the checkpoint in half: its leading tensors are intact, so a loader
+  // that adopted weights while parsing would mix them into the model.
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
+  Pipeline warm(workload, o);
+  EXPECT_EQ(weight_bytes(warm.teacher()), trained)
+      << "retraining after a torn checkpoint must match a cold run bit for bit";
+
+  // The torn file was overwritten with a loadable checkpoint of the same weights.
+  nn::AddressPredictor reloaded(o.teacher_arch, 12345);
+  ASSERT_NO_THROW(io::load_checkpoint(path, reloaded.params(), key));
+  EXPECT_EQ(weight_bytes(reloaded), trained);
+  std::filesystem::remove_all(o.artifact_dir);
 }
 
 TEST(PipelineIntegration, TabularizeHonorsVariantTables) {

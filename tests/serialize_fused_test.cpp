@@ -1,68 +1,15 @@
-// Tests for model checkpointing and the fused multi-layer table (the
-// paper's §VIII future-work feature).
+// Tests for the fused multi-layer table (the paper's §VIII future-work
+// feature). NN checkpoint round trips live in io_artifact_test, next to the
+// `.dart` container they are stored in.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "nn/ops.hpp"
-#include "nn/serialize.hpp"
 #include "nn/transformer.hpp"
 #include "tabular/complexity.hpp"
 #include "tabular/fused_kernel.hpp"
 
 namespace dart {
 namespace {
-
-nn::ModelConfig tiny_arch() {
-  nn::ModelConfig a;
-  a.seq_len = 4;
-  a.addr_dim = 4;
-  a.pc_dim = 4;
-  a.dim = 8;
-  a.ffn_dim = 16;
-  a.out_dim = 12;
-  a.heads = 2;
-  a.layers = 1;
-  return a;
-}
-
-TEST(Serialize, RoundTripsAddressPredictor) {
-  const std::string path = "/tmp/dart_ckpt_roundtrip.bin";
-  nn::AddressPredictor a(tiny_arch(), 3);
-  ASSERT_TRUE(nn::save_model(a, path));
-  nn::AddressPredictor b(tiny_arch(), 99);  // different init
-  nn::load_model(b, path);
-  nn::Tensor addr = nn::Tensor::randn({2, 4, 4}, 0.5f, 5);
-  nn::Tensor pc = nn::Tensor::randn({2, 4, 4}, 0.5f, 6);
-  nn::Tensor ya = a.forward(addr, pc);
-  nn::Tensor yb = b.forward(addr, pc);
-  for (std::size_t i = 0; i < ya.numel(); ++i) EXPECT_EQ(ya[i], yb[i]);
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, RejectsWrongArchitecture) {
-  const std::string path = "/tmp/dart_ckpt_badarch.bin";
-  nn::AddressPredictor a(tiny_arch(), 3);
-  ASSERT_TRUE(nn::save_model(a, path));
-  nn::ModelConfig other = tiny_arch();
-  other.dim = 16;  // different shapes
-  nn::AddressPredictor b(other, 3);
-  EXPECT_THROW(nn::load_model(b, path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, RejectsMissingAndCorruptFiles) {
-  nn::AddressPredictor a(tiny_arch(), 3);
-  EXPECT_THROW(nn::load_model(a, "/tmp/does_not_exist_dart.bin"), std::runtime_error);
-  const std::string path = "/tmp/dart_ckpt_corrupt.bin";
-  {
-    FILE* f = std::fopen(path.c_str(), "wb");
-    std::fputs("garbage", f);
-    std::fclose(f);
-  }
-  EXPECT_THROW(nn::load_model(a, path), std::runtime_error);
-  std::remove(path.c_str());
-}
 
 // ------------------------------------------------------------- FusedKernel
 

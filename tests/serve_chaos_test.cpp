@@ -1,7 +1,7 @@
 // Chaos tests for the overload-resilient serving layer (DESIGN.md §11):
 // the deterministic fault-injection matrix — slow shard + deadline storm,
-// stalled shard + watchdog restart, corrupt/truncated artifact swap
-// quarantine, dropped park wakes, ring saturation with injected submit
+// stalled shard + watchdog restart, corrupt/truncated artifact and
+// directory-path swap quarantine, dropped park wakes, ring saturation with injected submit
 // rejection, and degradation under sustained overload.
 //
 // The contract under test: every submitted request resolves to exactly one
@@ -376,6 +376,33 @@ TEST(ServeChaos, CorruptArtifactSwapIsQuarantinedAndTheOldEpochKeepsServing) {
   EXPECT_EQ(swapped.bad_probs, 0u) << "the published swap must serve the new artifact bit-exact";
   EXPECT_TRUE(server.stats().all_healthy);
   std::remove(path_b.c_str());
+}
+
+TEST(ServeChaos, DirectoryPathSwapIsRetriedQuarantinedAndTheOldEpochKeepsServing) {
+  // A directory where the artifact should be is an I/O failure like any
+  // other: every attempt counts as a rejected reload, the retries run, the
+  // swap throws ArtifactError and the old epoch keeps serving bit-exact.
+  FaultGuard guard;
+  const nn::ModelConfig arch = tiny_arch();
+  const auto model_a = make_model(1);
+  const InputBank bank(arch, 8);
+  const auto ref_a = reference_probs(*model_a, bank, arch.out_dim);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "chaos_swap_dir.dart").string();
+  std::filesystem::create_directories(dir);
+
+  ServeConfig config = chaos_config();
+  config.reload_retries = 2;
+  config.reload_backoff_us = 100;
+  PrefetchServer server(model_a, config);
+  const std::uint64_t epoch_before = server.epoch();
+  EXPECT_THROW(server.swap_artifact(dir), io::ArtifactError);
+  EXPECT_EQ(server.epoch(), epoch_before) << "a rejected swap must publish nothing";
+  EXPECT_EQ(server.stats().reload_rejected, config.reload_retries + 1);
+  const LoadOutcome after = drive(server, bank, {&ref_a}, 32, 8);
+  EXPECT_EQ(after.completed, 32u);
+  EXPECT_EQ(after.bad_probs, 0u) << "old epoch must serve bit-exact after the rejected swap";
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServeChaos, GeometryMismatchSwapFailsFastWithoutRetries) {

@@ -22,6 +22,7 @@
 #include "core/experiment.hpp"
 #include "core/pipeline.hpp"
 #include "core/result_store.hpp"
+#include "io/bytes.hpp"
 #include "sim/registry.hpp"
 #include "sim/shard_replay.hpp"
 #include "sim/simulator.hpp"
@@ -196,6 +197,22 @@ TEST_F(SweepChaosTest, StoreCompactionDropsSupersededRecords) {
   CellRecord rec;
   ASSERT_TRUE(reopened.find(1, &rec));
   EXPECT_EQ(rec.cell.stats.pf_issued, 7u);  // pre-compaction last record
+}
+
+TEST_F(SweepChaosTest, StoreRefusesADirectoryInPlaceOfItsLog) {
+  // A directory named results.log is damage, not an empty store: opening
+  // must fail with an ArtifactError naming the path, never a bad_alloc from
+  // sizing the directory as a file.
+  const std::string dir = scratch_dir("log_is_dir");
+  std::filesystem::create_directories(dir + "/results.log");
+  try {
+    ResultStore store(dir);
+    FAIL() << "a directory was opened as the result log";
+  } catch (const io::ArtifactError& e) {
+    EXPECT_NE(std::string(e.what()).find(dir + "/results.log"), std::string::npos)
+        << "error does not name the log: " << e.what();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // -------------------------------------------------------- retry/quarantine

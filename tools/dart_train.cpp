@@ -16,8 +16,11 @@
 // Table IV app names and synthetic specs like
 // "trace:zipfian,theta=0.99,footprint=64M" or "ycsb-b" train just the same.
 //
-// `--artifact-dir` additionally caches teacher/student checkpoints there,
-// so retraining a different variant of the same app skips the teacher.
+// `--artifact-dir` additionally caches teacher/student checkpoints there
+// (`*.ckpt` files in the checksummed `.dart` container, DESIGN.md §7), so
+// retraining a different variant of the same app skips the teacher, and a
+// rerun of the same variant skips training altogether and writes the same
+// artifact bytes. An unreadable checkpoint is retrained and overwritten.
 // Scale knobs come from the DART_* environment (see README.md): a quick
 // smoke run is `DART_EPOCHS=1 DART_TRAIN_SAMPLES=800 DART_SIM_INSTR=60000
 // dart_train --app 462.libquantum --variant s`.
