@@ -1,6 +1,7 @@
 // Shared driver for the Figs. 12/13/14 bench binaries: one full
-// (app x prefetcher) ExperimentRunner sweep, cached on disk so the three
-// binaries (run alphabetically by the bench loop) compute it only once.
+// (app x prefetcher) ExperimentRunner sweep, persisted in a result store so
+// the three binaries (run alphabetically by the bench loop) compute it
+// only once.
 #pragma once
 
 #include <string>
@@ -9,8 +10,9 @@
 
 namespace dart::bench {
 
-/// Loads the cached sweep if its tag matches the current knobs; otherwise
-/// runs the sweep and writes the cache ("prefetch_sweep_cache.csv").
+/// Runs the sweep against the result store in "prefetch_sweep_store":
+/// cells already committed under the current knobs are reused, the rest
+/// are simulated and committed.
 core::ExperimentResult cached_prefetch_sweep();
 
 /// Prints the per-app + mean table for one metric ("accuracy", "coverage",

@@ -194,18 +194,6 @@ std::string csv_quote(const std::string& field) {
   return "\"" + field + "\"";
 }
 
-bool csv_next_field(std::stringstream& ss, std::string* out) {
-  out->clear();
-  if (!ss.good()) return false;
-  if (ss.peek() == '"') {
-    ss.get();
-    std::getline(ss, *out, '"');
-    if (ss.peek() == ',') ss.get();
-    return true;
-  }
-  return static_cast<bool>(std::getline(ss, *out, ','));
-}
-
 std::string json_escape(const std::string& s) {
   std::string out;
   for (char c : s) {
@@ -351,54 +339,6 @@ bool ExperimentResult::write_csv(const std::string& path, const std::string& tag
   return static_cast<bool>(out);
 }
 
-bool ExperimentResult::read_csv(const std::string& path, const std::string& expected_tag,
-                                ExperimentResult* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  if (!expected_tag.empty()) {
-    if (!std::getline(in, line) || line != expected_tag) return false;
-  }
-  if (!std::getline(in, line)) return false;  // header
-  ExperimentResult result;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::stringstream ss(line);
-    ExperimentCell c;
-    std::string field;
-    if (!csv_next_field(ss, &c.spec) || !csv_next_field(ss, &c.prefetcher) ||
-        !csv_next_field(ss, &c.app)) {
-      return false;
-    }
-    auto next_d = [&]() {
-      if (!csv_next_field(ss, &field)) throw std::invalid_argument("short row");
-      return std::stod(field);
-    };
-    auto next_u = [&]() { return static_cast<std::uint64_t>(next_d()); };
-    try {
-      c.baseline_ipc = next_d();
-      c.ipc_improvement = next_d();
-      c.stats.pf_issued = next_u();
-      c.stats.pf_useful = next_u();
-      c.stats.pf_late = next_u();
-      c.stats.pf_dropped = next_u();
-      c.stats.llc_accesses = next_u();
-      c.stats.llc_hits = next_u();
-      c.stats.llc_demand_misses = next_u();
-      c.stats.instructions = next_u();
-      c.stats.cycles = next_u();
-      c.storage_bytes = static_cast<std::size_t>(next_u());
-      c.latency_cycles = static_cast<std::size_t>(next_u());
-    } catch (const std::exception&) {
-      return false;
-    }
-    result.cells.push_back(std::move(c));
-  }
-  if (result.cells.empty()) return false;
-  *out = std::move(result);
-  return true;
-}
-
 bool ExperimentResult::write_json(const std::string& path) const {
   std::ofstream out(path);
   if (!out) return false;
@@ -448,13 +388,15 @@ ExperimentResult ExperimentRunner::run() {
   std::unique_ptr<ResultStore> store;
   if (!sweep.store_dir.empty()) store = std::make_unique<ResultStore>(sweep.store_dir);
 
-  // Cell identity: the pipeline configuration hash plus the sweep replay
+  // Cell identity: the pipeline configuration hash, the DART table mode a
+  // spec without `quant=` resolves to (DART_QUANT), and the sweep replay
   // plan (NN sampling, shard count, warmup) — a cell is only reused when
   // it would provably reproduce the stored numbers.
   auto config_of = [&](const trace::Workload& w) {
     std::ostringstream os;
-    os << pipeline_cache_key(w, spec_.pipeline) << "/nn" << spec_.nn_trigger_sample << "/sh"
-       << sweep.trace_shards << "/w";
+    os << pipeline_cache_key(w, spec_.pipeline) << "/q"
+       << tabular::quant_mode_name(quant_mode_from_env()) << "/nn" << spec_.nn_trigger_sample
+       << "/sh" << sweep.trace_shards << "/w";
     if (sweep.trace_shards <= 1 || sweep.shard_warmup == sim::kFullWarmup) {
       os << "full";
     } else {
@@ -543,17 +485,12 @@ ExperimentResult ExperimentRunner::run() {
         if (fault.fail) {
           throw std::runtime_error("injected fail-cell fault for " + spec_text);
         }
+        // Models come from the app's context, shared read-only: cells of
+        // one app, and the shards of one cell, simulate concurrently.
         std::unique_ptr<sim::Prefetcher> pf = sim::make_prefetcher(spec_text, state->ctx);
-        // NN adapters drive a model shared with this app's other cells and
-        // mutate it during forward: serialize their simulations on the app
-        // lock (cells of other apps and rule-based cells stay concurrent).
-        std::unique_lock<std::mutex> model_lock;
-        if (pf->shares_mutable_model()) model_lock = std::unique_lock(state->mu);
         sim::SimStats stats;
-        if (sweep.trace_shards > 1 && !pf->shares_mutable_model()) {
-          // Sharded replay with pinned deterministic merge. Mutable-model
-          // prefetchers are excluded: per-shard instances would contend on
-          // the one shared model, which is neither faster nor meaningful.
+        if (sweep.trace_shards > 1) {
+          // Sharded replay with pinned deterministic merge.
           sim::ShardReplayOptions shard_opts;
           shard_opts.shards = sweep.trace_shards;
           shard_opts.warmup = sweep.shard_warmup;

@@ -49,8 +49,8 @@ struct SweepOptions {
   /// Backoff before retry r is `backoff_ms << (r-1)` (doubling); 0 disables.
   std::uint64_t backoff_ms = 10;
   /// Contiguous trace shards per cell replay (sim/shard_replay.hpp); 1 =
-  /// classic unsharded replay. Cells whose prefetcher shares a mutable
-  /// model (the NN adapters) always replay unsharded.
+  /// classic unsharded replay. Applies to every cell, NN baselines and
+  /// DART included: shards share the app's models read-only.
   std::size_t trace_shards = 1;
   /// Warmup accesses per shard; SIZE_MAX = full-prefix (bit-exact merge).
   std::size_t shard_warmup = static_cast<std::size_t>(-1);
@@ -145,13 +145,9 @@ struct ExperimentResult {
   /// grid, the three counts sum to `cells.size()`.
   std::size_t count(CellStatus status) const;
 
-  /// CSV round-trip. `tag` is an opaque first-line comment (cache keying);
-  /// read_csv returns false when the file is missing or the tag mismatches.
+  /// Writes the cells as CSV (fields with commas quoted); `tag`, when set,
+  /// is an opaque first-line comment. Returns false on I/O failure.
   bool write_csv(const std::string& path, const std::string& tag = "") const;
-  /// Parses a write_csv file; returns false on missing file, tag mismatch
-  /// or malformed rows (never throws for those cases).
-  static bool read_csv(const std::string& path, const std::string& expected_tag,
-                       ExperimentResult* out);
   /// Writes the cells as a JSON array (one object per cell).
   bool write_json(const std::string& path) const;
 };

@@ -154,7 +154,7 @@ nn::AddressPredictor& Pipeline::teacher() {
   return *teacher_;
 }
 
-std::shared_ptr<nn::AddressPredictor> Pipeline::teacher_shared() {
+std::shared_ptr<const nn::AddressPredictor> Pipeline::teacher_shared() {
   teacher();
   return teacher_;
 }
@@ -208,17 +208,17 @@ nn::LstmPredictor& Pipeline::lstm_baseline() {
   return *lstm_;
 }
 
-std::shared_ptr<nn::LstmPredictor> Pipeline::lstm_baseline_shared() {
+std::shared_ptr<const nn::LstmPredictor> Pipeline::lstm_baseline_shared() {
   lstm_baseline();
   return lstm_;
 }
 
-nn::F1Result Pipeline::eval_nn(nn::AddressPredictor& model) {
+nn::F1Result Pipeline::eval_nn(const nn::AddressPredictor& model) {
   prepare();
   return nn::evaluate_f1(model, test_);
 }
 
-nn::F1Result Pipeline::eval_lstm(nn::LstmPredictor& model) {
+nn::F1Result Pipeline::eval_lstm(const nn::LstmPredictor& model) {
   prepare();
   return nn::evaluate_f1(model, test_);
 }

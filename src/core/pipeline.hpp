@@ -86,14 +86,15 @@ class Pipeline {
   /// Voyager-like LSTM baseline trained on the same data.
   nn::LstmPredictor& lstm_baseline();
 
-  /// Shared-ownership handles to the cached models, for prefetcher adapters
-  /// that may outlive the pipeline (sim::PrefetcherContext providers).
-  std::shared_ptr<nn::AddressPredictor> teacher_shared();
-  std::shared_ptr<nn::LstmPredictor> lstm_baseline_shared();
+  /// Shared-ownership, read-only handles to the cached models, for
+  /// prefetcher adapters that may outlive the pipeline
+  /// (sim::PrefetcherContext providers).
+  std::shared_ptr<const nn::AddressPredictor> teacher_shared();
+  std::shared_ptr<const nn::LstmPredictor> lstm_baseline_shared();
 
   // F1 on the held-out test split.
-  nn::F1Result eval_nn(nn::AddressPredictor& model);
-  nn::F1Result eval_lstm(nn::LstmPredictor& model);
+  nn::F1Result eval_nn(const nn::AddressPredictor& model);
+  nn::F1Result eval_lstm(const nn::LstmPredictor& model);
   nn::F1Result eval_tabular(const tabular::TabularPredictor& model);
 
   const nn::Dataset& train_set();

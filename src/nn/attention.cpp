@@ -49,11 +49,12 @@ void scatter_head_add(Tensor& dqkv, std::size_t b, std::size_t h, int which, std
 
 }  // namespace
 
-Tensor MultiHeadSelfAttention::attention_core(const Tensor& qkv) const {
+Tensor MultiHeadSelfAttention::attention_core(const Tensor& qkv, Tensor* probs) const {
   const std::size_t b_sz = qkv.dim(0), t_len = qkv.dim(1);
   const std::size_t dh = head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
   Tensor concat({b_sz, t_len, dim_});
+  if (probs != nullptr) *probs = Tensor({b_sz * heads_, t_len, t_len});
   common::parallel_for_each(b_sz * heads_, [&](std::size_t bh) {
     const std::size_t b = bh / heads_, h = bh % heads_;
     Tensor q, k, v, scores, o;
@@ -63,6 +64,10 @@ Tensor MultiHeadSelfAttention::attention_core(const Tensor& qkv) const {
     ops::matmul_nt(q, k, scores);
     scores *= scale;
     ops::softmax_rows(scores);
+    if (probs != nullptr) {
+      float* dst = probs->data() + bh * t_len * t_len;
+      for (std::size_t i = 0; i < t_len * t_len; ++i) dst[i] = scores[i];
+    }
     ops::matmul(scores, v, o);
     for (std::size_t t = 0; t < t_len; ++t) {
       float* dst = concat.data() + (b * t_len + t) * dim_ + h * dh;
@@ -73,38 +78,23 @@ Tensor MultiHeadSelfAttention::attention_core(const Tensor& qkv) const {
   return concat;
 }
 
-Tensor MultiHeadSelfAttention::forward(const Tensor& x) {
+void MultiHeadSelfAttention::check_input(const Tensor& x) const {
   if (x.ndim() != 3 || x.dim(2) != dim_) {
-    throw std::invalid_argument("MSA::forward expects [B,T,D], got " + x.shape_str());
+    throw std::invalid_argument("MSA expects [B,T,D], got " + x.shape_str());
   }
+}
+
+Tensor MultiHeadSelfAttention::forward(const Tensor& x) {
+  check_input(x);
   cached_b_ = x.dim(0);
   cached_t_ = x.dim(1);
   cached_qkv_ = qkv_->forward(x);  // [B,T,3D]
-  cached_attn_ = Tensor({cached_b_ * heads_, cached_t_, cached_t_});
+  return out_->forward(attention_core(cached_qkv_, &cached_attn_));
+}
 
-  const std::size_t dh = head_dim();
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  Tensor concat({cached_b_, cached_t_, dim_});
-  common::parallel_for_each(cached_b_ * heads_, [&](std::size_t bh) {
-    const std::size_t b = bh / heads_, h = bh % heads_;
-    Tensor q, k, v, scores, o;
-    gather_head(cached_qkv_, b, h, 0, cached_t_, dim_, dh, q);
-    gather_head(cached_qkv_, b, h, 1, cached_t_, dim_, dh, k);
-    gather_head(cached_qkv_, b, h, 2, cached_t_, dim_, dh, v);
-    ops::matmul_nt(q, k, scores);
-    scores *= scale;
-    ops::softmax_rows(scores);
-    // Cache attention probabilities for backward.
-    float* dst = cached_attn_.data() + bh * cached_t_ * cached_t_;
-    for (std::size_t i = 0; i < cached_t_ * cached_t_; ++i) dst[i] = scores[i];
-    ops::matmul(scores, v, o);
-    for (std::size_t t = 0; t < cached_t_; ++t) {
-      float* cdst = concat.data() + (b * cached_t_ + t) * dim_ + h * dh;
-      const float* src = o.row(t);
-      for (std::size_t j = 0; j < dh; ++j) cdst[j] = src[j];
-    }
-  }, 1);
-  return out_->forward(concat);
+Tensor MultiHeadSelfAttention::apply(const Tensor& x) const {
+  check_input(x);
+  return out_->apply(attention_core(qkv_->apply(x)));
 }
 
 Tensor MultiHeadSelfAttention::backward(const Tensor& grad_out) {

@@ -18,7 +18,8 @@ class MultiHeadSelfAttention : public Module {
   MultiHeadSelfAttention(std::size_t dim, std::size_t heads, std::uint64_t seed,
                          std::string name = "msa");
 
-  /// x: [B, T, D] -> [B, T, D].
+  /// x: [B, T, D] -> [B, T, D]; caches QKV and the softmax probabilities
+  /// for backward around the same computation as `apply`.
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
@@ -32,12 +33,18 @@ class MultiHeadSelfAttention : public Module {
   const Linear& qkv_proj() const { return *qkv_; }
   const Linear& out_proj() const { return *out_; }
 
-  /// Stateless attention core given already-projected QKV ([B,T,3D]) —
-  /// used by the tabularization reference path. Returns concat(head outputs)
-  /// BEFORE the output projection.
-  Tensor attention_core(const Tensor& qkv) const;
+  /// out_proj(attention_core(qkv_proj(x))) without touching any cache.
+  Tensor apply(const Tensor& x) const;
+
+  /// Per-head scaled dot-product attention given already-projected QKV
+  /// ([B,T,3D]) — also the tabularization reference path. Returns
+  /// concat(head outputs) BEFORE the output projection; when `probs` is
+  /// set it also receives the softmax probabilities as [B*H, T, T].
+  Tensor attention_core(const Tensor& qkv, Tensor* probs = nullptr) const;
 
  private:
+  void check_input(const Tensor& x) const;
+
   std::size_t dim_;
   std::size_t heads_;
   std::unique_ptr<Linear> qkv_;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "common/thread_pool.hpp"
 #include "nn/ops.hpp"
 
 namespace dart::nn {
@@ -25,12 +24,7 @@ Linear::Linear(std::size_t in_dim, std::size_t out_dim, std::uint64_t seed, std:
 Tensor Linear::forward(const Tensor& x) {
   cached_shape_ = x.shape();
   cached_x_ = flatten_rows(x);
-  Tensor y;
-  ops::linear_forward(cached_x_, weight_.value, bias_.value, y);
-  auto out_shape = cached_shape_;
-  out_shape.back() = out_dim_;
-  y.reshape(out_shape);
-  return y;
+  return apply(x);
 }
 
 Tensor Linear::apply(const Tensor& x) const {

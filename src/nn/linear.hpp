@@ -12,7 +12,7 @@ class Linear : public Module {
   Linear(std::size_t in_dim, std::size_t out_dim, std::uint64_t seed,
          std::string name = "linear");
 
-  /// Accepts [m, in] or [b, t, in]; returns the matching [.., out] shape.
+  /// Caches the input for backward, then returns `apply(x)`.
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
@@ -25,8 +25,9 @@ class Linear : public Module {
   Tensor& mutable_weight() { return weight_.value; }
   Tensor& mutable_bias() { return bias_.value; }
 
-  /// Stateless apply with the current weights (used by fine-tuning and the
-  /// tabularization reference path); does not touch cached activations.
+  /// y = x W^T + b with the current weights. Accepts [m, in] or
+  /// [b, t, in] and returns the matching [.., out] shape; touches no
+  /// cached activation, so concurrent calls are safe.
   Tensor apply(const Tensor& x) const;
 
  private:

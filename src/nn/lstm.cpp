@@ -22,16 +22,15 @@ Lstm::Lstm(std::size_t in_dim, std::size_t hidden_dim, std::uint64_t seed, std::
   for (std::size_t j = hidden_dim; j < 2 * hidden_dim; ++j) bias_.value[j] = 1.0f;
 }
 
-Tensor Lstm::forward(const Tensor& x) {
+Tensor Lstm::recur(const Tensor& x, Tensor& gates_seq, Tensor& c_seq, Tensor& tanh_c_seq) const {
   if (x.ndim() != 3 || x.dim(2) != in_dim_) {
-    throw std::invalid_argument("Lstm::forward expects [B,T,Din], got " + x.shape_str());
+    throw std::invalid_argument("Lstm expects [B,T,Din], got " + x.shape_str());
   }
   const std::size_t b_sz = x.dim(0), t_len = x.dim(1), h = hidden_;
-  cached_x_ = x;
-  cached_gates_ = Tensor({b_sz, t_len, 4 * h});
-  cached_c_ = Tensor({b_sz, t_len, h});
-  cached_h_ = Tensor({b_sz, t_len, h});
-  cached_tanh_c_ = Tensor({b_sz, t_len, h});
+  Tensor hseq({b_sz, t_len, h});
+  gates_seq = Tensor({b_sz, t_len, 4 * h});
+  c_seq = Tensor({b_sz, t_len, h});
+  tanh_c_seq = Tensor({b_sz, t_len, h});
 
   const float* pwx = wx_.value.data();
   const float* pwh = wh_.value.data();
@@ -49,10 +48,10 @@ Tensor Lstm::forward(const Tensor& x) {
         for (std::size_t j = 0; j < h; ++j) acc += whrow[j] * h_prev[j];
         pre[g] = acc;
       }
-      float* gates = cached_gates_.data() + (b * t_len + t) * 4 * h;
-      float* ct = cached_c_.data() + (b * t_len + t) * h;
-      float* ht = cached_h_.data() + (b * t_len + t) * h;
-      float* tct = cached_tanh_c_.data() + (b * t_len + t) * h;
+      float* gates = gates_seq.data() + (b * t_len + t) * 4 * h;
+      float* ct = c_seq.data() + (b * t_len + t) * h;
+      float* ht = hseq.data() + (b * t_len + t) * h;
+      float* tct = tanh_c_seq.data() + (b * t_len + t) * h;
       for (std::size_t j = 0; j < h; ++j) {
         const float ig = ops::sigmoid(pre[j]);
         const float fg = ops::sigmoid(pre[h + j]);
@@ -72,7 +71,18 @@ Tensor Lstm::forward(const Tensor& x) {
       }
     }
   }, 1);
+  return hseq;
+}
+
+Tensor Lstm::forward(const Tensor& x) {
+  cached_x_ = x;
+  cached_h_ = recur(x, cached_gates_, cached_c_, cached_tanh_c_);
   return cached_h_;
+}
+
+Tensor Lstm::apply(const Tensor& x) const {
+  Tensor gates, c, tanh_c;  // recorded, then dropped
+  return recur(x, gates, c, tanh_c);
 }
 
 Tensor Lstm::backward(const Tensor& grad_out) {
@@ -144,22 +154,34 @@ LstmPredictor::LstmPredictor(std::size_t addr_dim, std::size_t pc_dim, std::size
   head_ = std::make_unique<Linear>(hidden, out_dim, common::derive_seed(seed, 4), "lstm.head");
 }
 
+namespace {
+
+/// The last hidden state of every sequence: [B,T,H] -> [B,H].
+Tensor last_step(const Tensor& hseq) {
+  const std::size_t b_sz = hseq.dim(0), t_len = hseq.dim(1), h = hseq.dim(2);
+  Tensor last({b_sz, h});
+  for (std::size_t b = 0; b < b_sz; ++b) {
+    const float* src = hseq.data() + (b * t_len + (t_len - 1)) * h;
+    float* dst = last.row(b);
+    for (std::size_t j = 0; j < h; ++j) dst[j] = src[j];
+  }
+  return last;
+}
+
+}  // namespace
+
 Tensor LstmPredictor::forward(const Tensor& addr, const Tensor& pc) {
   cached_b_ = addr.dim(0);
   cached_t_ = addr.dim(1);
   Tensor x = addr_embed_->forward(addr);
-  Tensor xp = pc_embed_->forward(pc);
-  x += xp;
-  Tensor hseq = lstm_->forward(x);  // [B,T,H]
-  // Take the last hidden state.
-  const std::size_t h = lstm_->hidden_dim();
-  Tensor last({cached_b_, h});
-  for (std::size_t b = 0; b < cached_b_; ++b) {
-    const float* src = hseq.data() + (b * cached_t_ + (cached_t_ - 1)) * h;
-    float* dst = last.row(b);
-    for (std::size_t j = 0; j < h; ++j) dst[j] = src[j];
-  }
-  return head_->forward(last);
+  x += pc_embed_->forward(pc);
+  return head_->forward(last_step(lstm_->forward(x)));
+}
+
+Tensor LstmPredictor::infer(const Tensor& addr, const Tensor& pc) const {
+  Tensor x = addr_embed_->apply(addr);
+  x += pc_embed_->apply(pc);
+  return head_->apply(last_step(lstm_->apply(x)));
 }
 
 void LstmPredictor::backward(const Tensor& d_logits) {
@@ -184,9 +206,10 @@ void LstmPredictor::zero_grad() {
   for (Param* p : params()) p->zero_grad();
 }
 
-std::size_t LstmPredictor::num_params() {
+std::size_t LstmPredictor::num_params() const {
   std::size_t n = 0;
-  for (Param* p : params()) n += p->value.numel();
+  // params() only collects pointers; nothing is written through them.
+  for (const Param* p : const_cast<LstmPredictor*>(this)->params()) n += p->value.numel();
   return n;
 }
 

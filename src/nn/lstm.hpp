@@ -22,14 +22,22 @@ class Lstm : public Module {
   Lstm(std::size_t in_dim, std::size_t hidden_dim, std::uint64_t seed,
        std::string name = "lstm");
 
+  /// Caches the per-step activations for BPTT around `recur`.
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override { return {&wx_, &wh_, &bias_}; }
+  /// `forward` without caching activations.
+  Tensor apply(const Tensor& x) const;
 
   std::size_t hidden_dim() const { return hidden_; }
   std::size_t in_dim() const { return in_dim_; }
 
  private:
+  /// The recurrence, written once: returns the hidden sequence [B,T,H]
+  /// and records the per-step gates, cell states and tanh(cell) in the
+  /// outputs (the BPTT caches of `forward`).
+  Tensor recur(const Tensor& x, Tensor& gates_seq, Tensor& c_seq, Tensor& tanh_c_seq) const;
+
   std::size_t in_dim_;
   std::size_t hidden_;
   Param wx_;    // [4H, Din]
@@ -51,11 +59,15 @@ class LstmPredictor {
   LstmPredictor(std::size_t addr_dim, std::size_t pc_dim, std::size_t hidden,
                 std::size_t out_dim, std::uint64_t seed);
 
+  /// Forward pass producing logits; caches activations for backward.
   Tensor forward(const Tensor& addr, const Tensor& pc);
   void backward(const Tensor& d_logits);
+  /// The inference entry point: `forward`'s logits, bit for bit, without
+  /// writing any cache. Safe to call concurrently on one model.
+  Tensor infer(const Tensor& addr, const Tensor& pc) const;
   std::vector<Param*> params();
   void zero_grad();
-  std::size_t num_params();
+  std::size_t num_params() const;
 
  private:
   std::unique_ptr<Linear> addr_embed_;

@@ -2,8 +2,9 @@
 // the knowledge-distillation loop of §VI-D.
 //
 // Both predictor classes expose the same implicit interface
-// (forward(addr, pc) -> logits, backward(d_logits), params()), so the loops
-// are templates rather than a virtual hierarchy.
+// (forward(addr, pc) -> logits, backward(d_logits), params(), and the const
+// infer(addr, pc) -> logits), so the loops are templates rather than a
+// virtual hierarchy.
 #pragma once
 
 #include <cstdio>
@@ -73,10 +74,11 @@ double train_bce(Predictor& model, const Dataset& train, const TrainOptions& opt
   return last_loss;
 }
 
-/// Knowledge distillation: teacher logits are computed on the fly per batch;
-/// gradient flows only into the student. Returns final epoch loss.
+/// Knowledge distillation: teacher logits are computed on the fly per batch
+/// through the teacher's const `infer`; gradient flows only into the
+/// student. Returns final epoch loss.
 template <typename Student, typename Teacher>
-double train_distill(Student& student, Teacher& teacher, const Dataset& train,
+double train_distill(Student& student, const Teacher& teacher, const Dataset& train,
                      const TrainOptions& opt, const KdOptions& kd) {
   Adam adam(student.params(), opt.lr);
   Dataset data = train;
@@ -88,7 +90,7 @@ double train_distill(Student& student, Teacher& teacher, const Dataset& train,
     for (std::size_t begin = 0; begin < data.size(); begin += opt.batch_size) {
       const std::size_t end = std::min(data.size(), begin + opt.batch_size);
       Dataset batch = data.slice(begin, end);
-      Tensor teacher_logits = teacher.forward(batch.addr, batch.pc);
+      Tensor teacher_logits = teacher.infer(batch.addr, batch.pc);
       adam.zero_grad();
       Tensor logits = student.forward(batch.addr, batch.pc);
       Tensor d_logits;
@@ -106,12 +108,13 @@ double train_distill(Student& student, Teacher& teacher, const Dataset& train,
 
 /// Batched evaluation to bound peak memory; returns micro-F1 on `test`.
 template <typename Predictor>
-F1Result evaluate_f1(Predictor& model, const Dataset& test, std::size_t batch_size = 256) {
+F1Result evaluate_f1(const Predictor& model, const Dataset& test,
+                     std::size_t batch_size = 256) {
   std::size_t tp = 0, fp = 0, fn = 0;
   for (std::size_t begin = 0; begin < test.size(); begin += batch_size) {
     const std::size_t end = std::min(test.size(), begin + batch_size);
     Dataset batch = test.slice(begin, end);
-    Tensor logits = model.forward(batch.addr, batch.pc);
+    Tensor logits = model.infer(batch.addr, batch.pc);
     F1Result r = f1_score_from_logits(logits, batch.labels);
     tp += r.true_pos;
     fp += r.false_pos;

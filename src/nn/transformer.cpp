@@ -23,6 +23,14 @@ Tensor FeedForward::forward(const Tensor& x) {
   return out_->forward(h);
 }
 
+Tensor FeedForward::apply(const Tensor& x) const {
+  const Tensor pre_relu = hidden_->apply(x);
+  Tensor h;
+  ops::relu(pre_relu, h);
+  h.reshape(pre_relu.shape());
+  return out_->apply(h);
+}
+
 Tensor FeedForward::backward(const Tensor& grad_out) {
   Tensor dh = out_->backward(grad_out);
   Tensor d_pre;
@@ -53,6 +61,15 @@ Tensor TransformerEncoderLayer::forward(const Tensor& x) {
   Tensor ff = ffn_->forward(x1);
   ff += x1;  // residual
   return ln2_->forward(ff);
+}
+
+Tensor TransformerEncoderLayer::apply(const Tensor& x) const {
+  Tensor attn = msa_->apply(x);
+  attn += x;
+  const Tensor x1 = ln1_->apply(attn);
+  Tensor ff = ffn_->apply(x1);
+  ff += x1;
+  return ln2_->apply(ff);
 }
 
 Tensor TransformerEncoderLayer::backward(const Tensor& grad_out) {
@@ -89,9 +106,33 @@ AddressPredictor::AddressPredictor(const ModelConfig& config, std::uint64_t seed
                                    "head");
 }
 
-Tensor AddressPredictor::embed(const Tensor& addr, const Tensor& pc) {
-  Tensor ea = addr_embed_->forward(addr);  // [B,T,D]
-  Tensor ep = pc_embed_->forward(pc);
+namespace {
+
+void check_inputs(const Tensor& addr, const Tensor& pc) {
+  if (addr.ndim() != 3 || pc.ndim() != 3) {
+    throw std::invalid_argument("AddressPredictor: inputs must be [B,T,S]");
+  }
+}
+
+/// Mean pool of per-token logits [B,T,DO] over the patch dimension.
+Tensor mean_pool(const Tensor& per_token) {
+  const std::size_t b_sz = per_token.dim(0), t_len = per_token.dim(1),
+                    out_d = per_token.dim(2);
+  Tensor logits({b_sz, out_d});
+  const float inv_t = 1.0f / static_cast<float>(t_len);
+  for (std::size_t b = 0; b < b_sz; ++b) {
+    float* dst = logits.row(b);
+    for (std::size_t t = 0; t < t_len; ++t) {
+      const float* src = per_token.data() + (b * t_len + t) * out_d;
+      for (std::size_t j = 0; j < out_d; ++j) dst[j] += src[j] * inv_t;
+    }
+  }
+  return logits;
+}
+
+}  // namespace
+
+Tensor AddressPredictor::add_positions(Tensor ea, const Tensor& ep) const {
   ea += ep;
   // Add learned positional encoding to every batch element.
   const std::size_t b_sz = ea.dim(0), t_len = ea.dim(1), d = ea.dim(2);
@@ -106,28 +147,18 @@ Tensor AddressPredictor::embed(const Tensor& addr, const Tensor& pc) {
 }
 
 Tensor AddressPredictor::forward(const Tensor& addr, const Tensor& pc) {
-  if (addr.ndim() != 3 || pc.ndim() != 3) {
-    throw std::invalid_argument("AddressPredictor: inputs must be [B,T,S]");
-  }
+  check_inputs(addr, pc);
   cached_b_ = addr.dim(0);
-  cached_addr_ = addr;
-  cached_pc_ = pc;
-  Tensor x = embed(addr, pc);
+  Tensor x = add_positions(addr_embed_->forward(addr), pc_embed_->forward(pc));  // [B,T,D]
   for (auto& layer : layers_) x = layer->forward(x);
-  x = final_ln_->forward(x);
-  Tensor per_token = head_->forward(x);  // [B,T,DO]
-  // Mean pool over the patch dimension -> [B, DO] logits.
-  const std::size_t t_len = per_token.dim(1), out_d = per_token.dim(2);
-  Tensor logits({cached_b_, out_d});
-  const float inv_t = 1.0f / static_cast<float>(t_len);
-  for (std::size_t b = 0; b < cached_b_; ++b) {
-    float* dst = logits.row(b);
-    for (std::size_t t = 0; t < t_len; ++t) {
-      const float* src = per_token.data() + (b * t_len + t) * out_d;
-      for (std::size_t j = 0; j < out_d; ++j) dst[j] += src[j] * inv_t;
-    }
-  }
-  return logits;
+  return mean_pool(head_->forward(final_ln_->forward(x)));
+}
+
+Tensor AddressPredictor::infer(const Tensor& addr, const Tensor& pc) const {
+  check_inputs(addr, pc);
+  Tensor x = add_positions(addr_embed_->apply(addr), pc_embed_->apply(pc));
+  for (const auto& layer : layers_) x = layer->apply(x);
+  return mean_pool(head_->apply(final_ln_->apply(x)));
 }
 
 void AddressPredictor::backward(const Tensor& d_logits) {
@@ -160,12 +191,6 @@ void AddressPredictor::backward(const Tensor& d_logits) {
   pc_embed_->backward(dx);
 }
 
-Tensor AddressPredictor::predict(const Tensor& addr, const Tensor& pc) {
-  // forward() caches only what backward needs; reuse it (callers that never
-  // call backward pay a negligible caching cost).
-  return forward(addr, pc);
-}
-
 std::vector<Param*> AddressPredictor::params() {
   std::vector<Module*> mods = {addr_embed_.get(), pc_embed_.get()};
   for (auto& l : layers_) mods.push_back(l.get());
@@ -180,9 +205,10 @@ void AddressPredictor::zero_grad() {
   for (Param* p : params()) p->zero_grad();
 }
 
-std::size_t AddressPredictor::num_params() {
+std::size_t AddressPredictor::num_params() const {
   std::size_t n = 0;
-  for (Param* p : params()) n += p->value.numel();
+  // params() only collects pointers; nothing is written through them.
+  for (const Param* p : const_cast<AddressPredictor*>(this)->params()) n += p->value.numel();
   return n;
 }
 

@@ -23,6 +23,8 @@ class FeedForward : public Module {
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
+  /// `forward` without caching activations.
+  Tensor apply(const Tensor& x) const;
 
   Linear& hidden_layer() { return *hidden_; }
   Linear& output_layer() { return *out_; }
@@ -44,6 +46,8 @@ class TransformerEncoderLayer : public Module {
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
+  /// `forward` without caching activations.
+  Tensor apply(const Tensor& x) const;
 
   MultiHeadSelfAttention& msa() { return *msa_; }
   FeedForward& ffn() { return *ffn_; }
@@ -87,8 +91,10 @@ class AddressPredictor {
   /// Backward from dL/dlogits; accumulates all parameter gradients.
   void backward(const Tensor& d_logits);
 
-  /// Stateless forward (no caching) — used for evaluation.
-  Tensor predict(const Tensor& addr, const Tensor& pc);
+  /// The inference entry point: the same logits as `forward`, bit for bit,
+  /// without writing any cache. Safe to call concurrently on one model
+  /// (the NN prefetch adapters, distillation's teacher, evaluation).
+  Tensor infer(const Tensor& addr, const Tensor& pc) const;
 
   std::vector<Param*> params();
   void zero_grad();
@@ -103,10 +109,11 @@ class AddressPredictor {
   Linear& head() { return *head_; }
 
   /// Total number of scalar parameters.
-  std::size_t num_params();
+  std::size_t num_params() const;
 
  private:
-  Tensor embed(const Tensor& addr, const Tensor& pc);
+  /// ea + ep + the learned positional encoding, per batch element.
+  Tensor add_positions(Tensor ea, const Tensor& ep) const;
 
   ModelConfig config_;
   std::unique_ptr<Linear> addr_embed_;
@@ -117,7 +124,6 @@ class AddressPredictor {
   std::unique_ptr<Linear> head_;
 
   std::size_t cached_b_ = 0;
-  Tensor cached_addr_, cached_pc_;
 };
 
 }  // namespace dart::nn

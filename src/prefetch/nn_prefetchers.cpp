@@ -73,14 +73,14 @@ void DartPrefetcher::predict(const nn::Tensor& addr, const nn::Tensor& pc,
 
 // ----------------------------------------------------------- TransFetch-like
 
-AttentionPrefetcher::AttentionPrefetcher(std::shared_ptr<nn::AddressPredictor> model,
+AttentionPrefetcher::AttentionPrefetcher(std::shared_ptr<const nn::AddressPredictor> model,
                                          const NnAdapterOptions& options,
                                          std::string display_name)
     : NnPrefetcherBase(options), model_(std::move(model)), name_(std::move(display_name)) {}
 
 void AttentionPrefetcher::predict(const nn::Tensor& addr, const nn::Tensor& pc,
                                   std::vector<float>& probs) {
-  nn::Tensor logits = model_->forward(addr, pc);
+  nn::Tensor logits = model_->infer(addr, pc);
   nn::Tensor p;
   nn::ops::sigmoid(logits, p);
   probs.assign(p.data(), p.data() + p.numel());
@@ -92,13 +92,13 @@ std::size_t AttentionPrefetcher::storage_bytes() const {
 
 // --------------------------------------------------------------- Voyager-like
 
-LstmPrefetcher::LstmPrefetcher(std::shared_ptr<nn::LstmPredictor> model,
+LstmPrefetcher::LstmPrefetcher(std::shared_ptr<const nn::LstmPredictor> model,
                                const NnAdapterOptions& options, std::string display_name)
     : NnPrefetcherBase(options), model_(std::move(model)), name_(std::move(display_name)) {}
 
 void LstmPrefetcher::predict(const nn::Tensor& addr, const nn::Tensor& pc,
                              std::vector<float>& probs) {
-  nn::Tensor logits = model_->forward(addr, pc);
+  nn::Tensor logits = model_->infer(addr, pc);
   nn::Tensor p;
   nn::ops::sigmoid(logits, p);
   probs.assign(p.data(), p.data() + p.numel());

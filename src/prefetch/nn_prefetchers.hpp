@@ -12,7 +12,11 @@
 // (current block + delta), strongest bits first. The input tensors, the
 // probability buffer and the fired-bit list are reused across calls, and
 // DART queries through `forward_sample_into` on a workspace it owns, so
-// its `on_access` performs no heap allocation.
+// its `on_access` performs no heap allocation. Every adapter holds its
+// model through a shared_ptr to const and only calls const inference
+// (`forward_sample_into`, `infer`), so any number of adapters — the
+// practical and "-I" variants, shards of one replay, concurrent sweep
+// cells — may share one model.
 //
 // Latency-bound triggering: a predictor with prediction latency L cannot
 // start a new inference while one is outstanding (it is not pipelined), so
@@ -55,6 +59,8 @@ class NnPrefetcherBase : public sim::Prefetcher {
   void on_access(std::uint64_t block, std::uint64_t pc, bool hit, std::uint64_t cycle,
                  std::vector<std::uint64_t>& out) final;
   std::size_t prediction_latency() const final { return opts_.latency; }
+  /// `on_fill` is the base no-op: the simulator may skip fill events.
+  bool trains_on_fill() const final { return false; }
 
  protected:
   /// Runs the wrapped predictor on [1,T,S] inputs and stores the DO output
@@ -97,39 +103,35 @@ class DartPrefetcher final : public NnPrefetcherBase {
 
 class AttentionPrefetcher final : public NnPrefetcherBase {
  public:
-  AttentionPrefetcher(std::shared_ptr<nn::AddressPredictor> model,
+  AttentionPrefetcher(std::shared_ptr<const nn::AddressPredictor> model,
                       const NnAdapterOptions& options, std::string display_name);
 
   std::size_t storage_bytes() const override;
   std::string name() const override { return name_; }
-  /// The attention model caches activations during forward.
-  bool shares_mutable_model() const override { return true; }
 
  protected:
   void predict(const nn::Tensor& addr, const nn::Tensor& pc,
                std::vector<float>& probs) override;
 
  private:
-  std::shared_ptr<nn::AddressPredictor> model_;
+  std::shared_ptr<const nn::AddressPredictor> model_;
   std::string name_;
 };
 
 class LstmPrefetcher final : public NnPrefetcherBase {
  public:
-  LstmPrefetcher(std::shared_ptr<nn::LstmPredictor> model, const NnAdapterOptions& options,
+  LstmPrefetcher(std::shared_ptr<const nn::LstmPredictor> model, const NnAdapterOptions& options,
                  std::string display_name);
 
   std::size_t storage_bytes() const override;
   std::string name() const override { return name_; }
-  /// The LSTM model caches activations during forward.
-  bool shares_mutable_model() const override { return true; }
 
  protected:
   void predict(const nn::Tensor& addr, const nn::Tensor& pc,
                std::vector<float>& probs) override;
 
  private:
-  std::shared_ptr<nn::LstmPredictor> model_;
+  std::shared_ptr<const nn::LstmPredictor> model_;
   std::string name_;
 };
 

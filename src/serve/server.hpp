@@ -112,8 +112,8 @@ class ClientSession {
 /// swap_model/swap_artifact, and stats() may race with serving.
 class PrefetchServer {
  public:
-  /// Serves `model` (shared, immutable — the shares_mutable_model() audit
-  /// in serve/shard.cpp pins why that is required) under `config`.
+  /// Serves `model` (shared, immutable — the const-query assert in
+  /// serve/shard.cpp pins why that is required) under `config`.
   PrefetchServer(std::shared_ptr<const tabular::TabularPredictor> model,
                  const ServeConfig& config);
 

@@ -10,14 +10,13 @@ namespace dart::serve {
 
 namespace {
 
-// The shares_mutable_model() audit (sim/prefetcher.hpp): shards share ONE
-// predictor instance across threads with no serialization, which is only
-// sound because the tabular query path is const — all mutable state lives
-// in the per-shard InferenceWorkspace. The NN baselines (AttentionPrefetcher
-// / LstmPrefetcher) cache activations inside forward and would need a lock;
-// they are not servable here. This assert pins the contract at compile
-// time: if the block query path ever stops being const-invocable, shard
-// construction fails to build instead of racing at runtime.
+// Shards share ONE predictor instance across threads with no
+// serialization, which is only sound because the tabular query path is
+// const — all mutable state lives in the per-shard InferenceWorkspace (the
+// same rule lets sweep cells share the NN baselines through their const
+// `infer`). This assert pins the contract at compile time: if the block
+// query path ever stops being const-invocable, shard construction fails to
+// build instead of racing at runtime.
 static_assert(
     std::is_invocable_v<decltype(&tabular::TabularPredictor::forward_block_into),
                         const tabular::TabularPredictor&, const float*, const float*, std::size_t,

@@ -49,17 +49,12 @@ class Prefetcher {
   /// Metadata/model storage footprint in bytes (Table IX column).
   virtual std::size_t storage_bytes() const = 0;
 
-  /// True when the prediction path mutates state shared with other
-  /// prefetcher instances (e.g. an activation-caching NN model used by both
-  /// the practical and ideal variants). Schedulers running cells
-  /// concurrently must serialize simulations of such prefetchers
-  /// (core::ExperimentRunner takes the per-app model lock), and the
-  /// serving layer cannot deploy them at all: serve shards share ONE
-  /// predictor instance across threads with no serialization, which is
-  /// sound only for the const tabular query path. serve/shard.cpp pins
-  /// that requirement with a compile-time audit, and
-  /// tests/serve_server_test.cpp asserts the DART adapter stays shareable
-  /// while the NN baselines keep reporting that they are not.
+  /// Retired: nothing under src/ overrides or reads this any more. Every
+  /// prefetcher owns its mutable state, and the model-backed adapters
+  /// share trained models only through const inference, so cells, shards
+  /// and serve shards need no serialization. Kept (always false) only
+  /// because the benchmark's tracing decorator (perfbench/src/replay.cpp)
+  /// still overrides it; delete it once that override is gone.
   virtual bool shares_mutable_model() const { return false; }
 
   /// Display name used in result tables ("BO", "DART-L", ...). Distinct

@@ -123,9 +123,10 @@ struct PrefetcherContext {
   std::string artifact_dir;
 
   /// Lazily trains/loads the attention teacher shared by this app's cells.
-  std::function<std::shared_ptr<nn::AddressPredictor>()> attention_model;
-  /// Lazily trains/loads the Voyager-like LSTM baseline.
-  std::function<std::shared_ptr<nn::LstmPredictor>()> lstm_model;
+  /// Adapters only call its const `infer`, so cells may share it freely.
+  std::function<std::shared_ptr<const nn::AddressPredictor>()> attention_model;
+  /// Lazily trains/loads the Voyager-like LSTM baseline (shared the same way).
+  std::function<std::shared_ptr<const nn::LstmPredictor>()> lstm_model;
   /// Lazily trains/loads the tabularized DART predictor for a request.
   std::function<DartModel(const DartModelRequest&)> dart_model;
 };

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <vector>
 
 #include "nn/attention.hpp"
 #include "nn/layernorm.hpp"
@@ -228,6 +230,81 @@ TEST(LstmPredictor, ForwardShape) {
   EXPECT_EQ(y.dim(0), 2u);
   EXPECT_EQ(y.dim(1), 10u);
   EXPECT_GT(model.num_params(), 0u);
+}
+
+// ------------------------------------------------ const inference entry
+
+ModelConfig infer_test_config() {
+  ModelConfig cfg;
+  cfg.seq_len = 4;
+  cfg.addr_dim = 4;
+  cfg.pc_dim = 4;
+  cfg.dim = 8;
+  cfg.ffn_dim = 16;
+  cfg.out_dim = 10;
+  cfg.heads = 2;
+  cfg.layers = 2;
+  return cfg;
+}
+
+void expect_bit_equal(const Tensor& got, const Tensor& expect) {
+  ASSERT_EQ(got.shape(), expect.shape());
+  EXPECT_EQ(std::memcmp(got.data(), expect.data(), expect.numel() * sizeof(float)), 0);
+}
+
+/// `infer` must return `forward`'s logits bit for bit, batched or not.
+template <typename Model>
+void check_infer_matches_forward(Model& model) {
+  for (std::size_t batch : {1u, 3u}) {
+    const Tensor addr = Tensor::randn({batch, 4, 4}, 0.3f, 30 + batch);
+    const Tensor pc = Tensor::randn({batch, 4, 4}, 0.3f, 40 + batch);
+    const Tensor expect = model.forward(addr, pc);
+    expect_bit_equal(model.infer(addr, pc), expect);
+  }
+}
+
+/// An `infer` call (another batch size, other inputs) between `forward`
+/// and `backward` must leave every accumulated gradient as it would be
+/// without it: infer writes no activation cache.
+template <typename Model>
+void check_infer_keeps_gradients(Model& plain, Model& interrupted) {
+  const Tensor addr = Tensor::randn({2, 4, 4}, 0.3f, 50);
+  const Tensor pc = Tensor::randn({2, 4, 4}, 0.3f, 51);
+  const Tensor logits = plain.forward(addr, pc);
+  interrupted.forward(addr, pc);
+  interrupted.infer(Tensor::randn({3, 4, 4}, 0.3f, 52), Tensor::randn({3, 4, 4}, 0.3f, 53));
+  const Tensor d = Tensor::randn(logits.shape(), 1.0f, 54);
+  plain.zero_grad();
+  interrupted.zero_grad();
+  plain.backward(d);
+  interrupted.backward(d);
+  const std::vector<Param*> a = plain.params();
+  const std::vector<Param*> b = interrupted.params();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(a[i]->name);
+    expect_bit_equal(b[i]->grad, a[i]->grad);
+  }
+}
+
+TEST(AddressPredictor, InferIsBitIdenticalToForward) {
+  AddressPredictor model(infer_test_config(), 5);
+  check_infer_matches_forward(model);
+}
+
+TEST(AddressPredictor, InferBetweenForwardAndBackwardKeepsGradients) {
+  AddressPredictor plain(infer_test_config(), 6), interrupted(infer_test_config(), 6);
+  check_infer_keeps_gradients(plain, interrupted);
+}
+
+TEST(LstmPredictor, InferIsBitIdenticalToForward) {
+  LstmPredictor model(4, 4, 8, 10, 7);
+  check_infer_matches_forward(model);
+}
+
+TEST(LstmPredictor, InferBetweenForwardAndBackwardKeepsGradients) {
+  LstmPredictor plain(4, 4, 8, 10, 8), interrupted(4, 4, 8, 10, 8);
+  check_infer_keeps_gradients(plain, interrupted);
 }
 
 }  // namespace

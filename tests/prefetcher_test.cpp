@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
+#include "common/thread_pool.hpp"
+#include "nn/lstm.hpp"
 #include "nn/trainer.hpp"
 #include "prefetch/nn_prefetchers.hpp"
 #include "prefetch/rule_based.hpp"
@@ -234,6 +237,102 @@ TEST_F(AdapterFixture, AttentionAdapterMatchesModelStorage) {
   EXPECT_EQ(pf.storage_bytes(), model_->num_params() * sizeof(float));
   EXPECT_EQ(pf.prediction_latency(), 4500u);
   EXPECT_EQ(pf.name(), "TransFetch");
+}
+
+/// Forwards every call to a wrapped prefetcher but claims to observe fills,
+/// so the simulator queues demand-fill events it would otherwise skip.
+class FillObserving final : public sim::Prefetcher {
+ public:
+  explicit FillObserving(sim::Prefetcher& inner) : inner_(inner) {}
+  void on_access(std::uint64_t block, std::uint64_t pc, bool hit, std::uint64_t cycle,
+                 std::vector<std::uint64_t>& out) override {
+    inner_.on_access(block, pc, hit, cycle, out);
+  }
+  void on_fill(std::uint64_t block, bool was_prefetch) override {
+    inner_.on_fill(block, was_prefetch);
+  }
+  bool trains_on_fill() const override { return true; }
+  std::size_t prediction_latency() const override { return inner_.prediction_latency(); }
+  std::size_t storage_bytes() const override { return inner_.storage_bytes(); }
+  std::string name() const override { return inner_.name(); }
+
+ private:
+  sim::Prefetcher& inner_;
+};
+
+/// Two interleaved strided streams with distinct PCs.
+trace::MemoryTrace two_stream_trace(std::size_t n) {
+  trace::MemoryTrace t;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const bool a = i % 2 == 0;
+    const std::uint64_t block = a ? 1000 + 3 * i : 900000 + 5 * i;
+    t.push_back({block * 64, a ? 0x10u : 0x20u, i * 16, false});
+  }
+  return t;
+}
+
+void expect_same_stats(const sim::SimStats& a, const sim::SimStats& b) {
+  EXPECT_EQ(a.instructions, b.instructions);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.llc_accesses, b.llc_accesses);
+  EXPECT_EQ(a.llc_hits, b.llc_hits);
+  EXPECT_EQ(a.llc_demand_misses, b.llc_demand_misses);
+  EXPECT_EQ(a.pf_issued, b.pf_issued);
+  EXPECT_EQ(a.pf_useful, b.pf_useful);
+  EXPECT_EQ(a.pf_late, b.pf_late);
+  EXPECT_EQ(a.pf_dropped, b.pf_dropped);
+}
+
+TEST_F(AdapterFixture, SkippingFillEventsLeavesDartStatsUnchanged) {
+  // The adapters' on_fill is a no-op, so they let the simulator skip fill
+  // events; replaying with the events queued must give the same counters.
+  const trace::MemoryTrace t = two_stream_trace(8000);
+  sim::SimConfig cfg;
+  DartPrefetcher skipping(predictor_, adapter_opts(/*latency=*/97));
+  DartPrefetcher observed(predictor_, adapter_opts(/*latency=*/97));
+  EXPECT_FALSE(skipping.trains_on_fill());
+  FillObserving observing(observed);
+  const sim::SimStats fast = sim::Simulator(cfg).run(t, &skipping);
+  const sim::SimStats slow = sim::Simulator(cfg).run(t, &observing);
+  EXPECT_GT(fast.pf_issued, 0u);
+  expect_same_stats(fast, slow);
+}
+
+TEST_F(AdapterFixture, ConcurrentNnReplaysOnOneConstModelMatchSerial) {
+  // The practical and ideal variants of both NN baselines share one const
+  // model each; replaying them as concurrent pool tasks must reproduce the
+  // serial counters exactly (and be race-free under TSan).
+  const std::shared_ptr<const nn::AddressPredictor> attention = std::move(model_);
+  const auto lstm = std::make_shared<const nn::LstmPredictor>(4, 4, 8, 64, 9);
+  const trace::MemoryTrace t = two_stream_trace(3000);
+  sim::SimConfig cfg;
+  NnAdapterOptions opts = adapter_opts();
+  opts.trigger_sample = 2;
+  const auto make = [&](std::size_t i) -> std::unique_ptr<sim::Prefetcher> {
+    NnAdapterOptions o = opts;
+    o.latency = i % 2 == 0 ? 4500 : 0;
+    if (i < 2) return std::make_unique<AttentionPrefetcher>(attention, o, "TransFetch");
+    return std::make_unique<LstmPrefetcher>(lstm, o, "Voyager");
+  };
+  constexpr std::size_t kReplays = 4;
+  std::vector<sim::SimStats> serial(kReplays), concurrent(kReplays);
+  for (std::size_t i = 0; i < kReplays; ++i) {
+    auto pf = make(i);
+    serial[i] = sim::Simulator(cfg).run(t, pf.get());
+  }
+  auto& pool = common::ThreadPool::instance();
+  for (std::size_t i = 0; i < kReplays; ++i) {
+    pool.submit([&, i] {
+      auto pf = make(i);
+      concurrent[i] = sim::Simulator(cfg).run(t, pf.get());
+    });
+  }
+  pool.wait_idle();
+  for (std::size_t i = 0; i < kReplays; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_GT(serial[i].pf_issued, 0u);
+    expect_same_stats(concurrent[i], serial[i]);
+  }
 }
 
 TEST_F(AdapterFixture, DartEndToEndInSimulatorBeatsNoPrefetcher) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "core/configs.hpp"
 #include "core/experiment.hpp"
@@ -93,6 +96,19 @@ TEST(PrefetcherRegistry, BuildsParameterizedRuleBasedPrefetchers) {
   // label= renames a prefetcher for sweeps over one type.
   auto labeled = sim::make_prefetcher("stride:table=1024,label=Stride-1K");
   EXPECT_EQ(labeled->name(), "Stride-1K");
+}
+
+TEST(PrefetcherRegistry, LabelKeepsFillObservation) {
+  // The label decorator forwards trains_on_fill: a relabelled stride still
+  // lets the simulator skip fill events, a relabelled BO still gets them.
+  for (const char* name : {"stride", "nextline", "isb", "bo"}) {
+    const std::string base = name;
+    EXPECT_EQ(sim::make_prefetcher(base + ":label=x")->trains_on_fill(),
+              sim::make_prefetcher(base)->trains_on_fill())
+        << name;
+  }
+  EXPECT_FALSE(sim::make_prefetcher("stride:label=x")->trains_on_fill());
+  EXPECT_TRUE(sim::make_prefetcher("bo:label=x")->trains_on_fill());
 }
 
 TEST(PrefetcherRegistry, ModelBackedSpecsRequireContext) {
@@ -201,15 +217,22 @@ TEST(ExperimentResult, CsvAndJsonRoundTrip) {
   const std::string csv = "registry_test_cells.csv";
   const std::string tag = "#tag registry-test";
   ASSERT_TRUE(result.write_csv(csv, tag));
-  core::ExperimentResult loaded;
-  EXPECT_FALSE(core::ExperimentResult::read_csv(csv, "#tag other", &loaded));
-  ASSERT_TRUE(core::ExperimentResult::read_csv(csv, tag, &loaded));
-  ASSERT_EQ(loaded.cells.size(), result.cells.size());
-  // The comma-bearing spec string survives CSV quoting.
-  EXPECT_EQ(loaded.cells[1].spec, "stride:table=64,degree=4");
-  EXPECT_EQ(loaded.cells[1].prefetcher, "Stride");
-  EXPECT_EQ(loaded.cells[1].stats.cycles, result.cells[1].stats.cycles);
-  EXPECT_NEAR(loaded.cells[0].baseline_ipc, result.cells[0].baseline_ipc, 1e-9);
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(csv);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 2 + result.cells.size());
+  EXPECT_EQ(lines[0], tag);
+  EXPECT_EQ(lines[1].rfind("spec,prefetcher,app,", 0), 0u);
+  // The comma-bearing spec string is quoted; the rest of its row follows.
+  const std::string stride_row = "\"stride:table=64,degree=4\",Stride,462.libquantum,";
+  EXPECT_EQ(lines[3].rfind(stride_row, 0), 0u) << lines[3];
+  EXPECT_EQ(lines[2].rfind("NextLine,NextLine,462.libquantum,", 0), 0u) << lines[2];
+  const std::string storage_tail = "," + std::to_string(result.cells[1].stats.cycles) + "," +
+                                   std::to_string(result.cells[1].storage_bytes) + "," +
+                                   std::to_string(result.cells[1].latency_cycles);
+  EXPECT_EQ(lines[3].substr(lines[3].size() - storage_tail.size()), storage_tail);
 
   const std::string json = "registry_test_cells.json";
   ASSERT_TRUE(result.write_json(json));

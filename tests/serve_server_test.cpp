@@ -1,7 +1,7 @@
 // Integration tests for the prefetch-as-a-service engine (DESIGN.md §9):
 // end-to-end correctness of multi-client serving vs the direct query path,
 // ingress backpressure, model hot-swap (no request lost, none served by a
-// torn artifact), stats plumbing, and the shares_mutable_model() audit.
+// torn artifact), and stats plumbing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "nn/tensor.hpp"
-#include "prefetch/nn_prefetchers.hpp"
+#include "nn/transformer.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/server.hpp"
 #include "tabular/tabular_predictor.hpp"
@@ -331,28 +331,6 @@ TEST(RunClientLoad, RejectsMismatchedPreprocessGeometry) {
   load.streams = 1;
   load.requests_per_stream = 1;
   EXPECT_THROW(run_client_load(server, load), std::invalid_argument);
-}
-
-// The serialization audit behind the serve design (sim/prefetcher.hpp):
-// shards share one predictor with no lock, which is sound only for
-// prefetchers whose prediction path is const. DART's tabular predictor
-// qualifies; the activation-caching NN baselines do not and must keep
-// reporting that they need serialization.
-TEST(SharesMutableModelAudit, DartIsShareableNnBaselinesAreNot) {
-  const nn::ModelConfig arch = tiny_arch();
-  prefetch::NnAdapterOptions opts;
-
-  prefetch::DartPrefetcher dart_pf(tiny_predictor(1, arch), opts);
-  EXPECT_FALSE(dart_pf.shares_mutable_model());
-
-  prefetch::AttentionPrefetcher attn_pf(std::make_shared<nn::AddressPredictor>(arch, 1), opts,
-                                        "TransFetch");
-  EXPECT_TRUE(attn_pf.shares_mutable_model());
-
-  prefetch::LstmPrefetcher lstm_pf(
-      std::make_shared<nn::LstmPredictor>(arch.addr_dim, arch.pc_dim, 16, arch.out_dim, 1), opts,
-      "Voyager");
-  EXPECT_TRUE(lstm_pf.shares_mutable_model());
 }
 
 }  // namespace

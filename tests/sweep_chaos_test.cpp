@@ -13,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,8 @@
 #include "core/pipeline.hpp"
 #include "core/result_store.hpp"
 #include "io/bytes.hpp"
+#include "nn/lstm.hpp"
+#include "nn/transformer.hpp"
 #include "sim/registry.hpp"
 #include "sim/shard_replay.hpp"
 #include "sim/simulator.hpp"
@@ -329,43 +333,106 @@ TEST_F(SweepChaosTest, CrashResumeMergedOutputByteIdentical) {
   }
 }
 
+TEST_F(SweepChaosTest, DartQuantKnobJoinsTheCellKey) {
+  // A `dart` spec without quant= takes its table mode from DART_QUANT, so
+  // a resumed sweep under another mode must not reuse the stored cell.
+  ExperimentSpec spec = tiny_grid();
+  spec.workloads = {"trace:sequential,footprint=1M,stride=4"};
+  spec.prefetchers = {"dart"};
+  spec.pipeline.teacher_arch.dim = 16;
+  spec.pipeline.teacher_arch.ffn_dim = 32;
+  spec.pipeline.teacher_train.epochs = 0;  // untrained: keying is under test
+  spec.pipeline.student_train.epochs = 0;
+  spec.pipeline.tab.tables = tabular::TableConfig::uniform(8, 1);
+  spec.pipeline.tab.max_train_samples = 100;
+  spec.sweep.store_dir = scratch_dir("quant_key");
+
+  const char* prior = std::getenv("DART_QUANT");
+  const std::string saved = prior != nullptr ? prior : "";
+  ::setenv("DART_QUANT", "off", 1);
+  const ExperimentResult float_run = ExperimentRunner(spec).run();
+  ::setenv("DART_QUANT", "int8", 1);
+  const ExperimentResult int8_run = ExperimentRunner(spec).run();
+  const ExperimentResult int8_resume = ExperimentRunner(spec).run();
+  if (prior != nullptr) {
+    ::setenv("DART_QUANT", saved.c_str(), 1);
+  } else {
+    ::unsetenv("DART_QUANT");
+  }
+
+  EXPECT_EQ(float_run.count(CellStatus::kDone), 1u);
+  EXPECT_EQ(int8_run.count(CellStatus::kDone), 1u) << "int8 reused the float-table cell";
+  EXPECT_EQ(int8_run.count(CellStatus::kSkipped), 0u);
+  EXPECT_EQ(int8_resume.count(CellStatus::kSkipped), 1u);
+}
+
 // ------------------------------------------------------------ sharded replay
+
+/// A context lending tiny untrained NN baselines: random weights still
+/// fire bitmap bits, so the adapters issue prefetches from a real model.
+sim::PrefetcherContext tiny_nn_context() {
+  sim::PrefetcherContext ctx;
+  ctx.prep.history = 4;
+  ctx.prep.addr_segments = 4;
+  ctx.prep.pc_segments = 4;
+  ctx.prep.bitmap_size = 64;
+  nn::ModelConfig arch;
+  arch.seq_len = 4;
+  arch.addr_dim = 4;
+  arch.pc_dim = 4;
+  arch.dim = 8;
+  arch.ffn_dim = 16;
+  arch.out_dim = 64;
+  arch.heads = 2;
+  arch.layers = 1;
+  auto attention = std::make_shared<const nn::AddressPredictor>(arch, 3);
+  auto lstm = std::make_shared<const nn::LstmPredictor>(4, 4, 8, 64, 4);
+  ctx.attention_model = [attention] { return attention; };
+  ctx.lstm_model = [lstm] { return lstm; };
+  return ctx;
+}
 
 TEST_F(SweepChaosTest, ShardedReplayFullWarmupBitExact) {
   const trace::Workload workload = trace::Workload::parse("trace:zipfian,footprint=4M");
   const trace::MemoryTrace trace = workload.generate(20000, 42);
   const sim::SimConfig config = PipelineOptions::bench_defaults().sim;
 
-  sim::PrefetcherContext ctx;
-  const auto bo_factory = [&ctx] { return sim::make_prefetcher("BO", ctx); };
-  const sim::SimStats unsharded = [&] {
-    auto pf = bo_factory();
-    return sim::Simulator(config).run(trace, pf.get());
-  }();
+  // The NN baselines shard like any other prefetcher: every shard builds
+  // its own adapter over the one shared const model.
+  sim::PrefetcherContext ctx = tiny_nn_context();
+  for (const char* spec : {"BO", "transfetch:sample=8", "voyager:sample=8,ideal"}) {
+    SCOPED_TRACE(spec);
+    const auto factory = [&ctx, spec] { return sim::make_prefetcher(spec, ctx); };
+    const sim::SimStats unsharded = [&] {
+      auto pf = factory();
+      return sim::Simulator(config).run(trace, pf.get());
+    }();
+    EXPECT_GT(unsharded.pf_issued, 0u);
 
-  for (std::size_t shards : {1u, 2u, 4u, 7u}) {
-    sim::ShardReplayOptions options;
-    options.shards = shards;
-    options.warmup = sim::kFullWarmup;
-    const sim::ShardedStats sharded = sim::run_sharded(config, trace, bo_factory, options);
-    EXPECT_EQ(sharded.shards.size(), shards);
-    // The pinned telescoping merge: bit-exact on EVERY field.
-    EXPECT_EQ(sharded.merged.instructions, unsharded.instructions) << shards;
-    EXPECT_EQ(sharded.merged.cycles, unsharded.cycles) << shards;
-    EXPECT_EQ(sharded.merged.llc_accesses, unsharded.llc_accesses) << shards;
-    EXPECT_EQ(sharded.merged.llc_hits, unsharded.llc_hits) << shards;
-    EXPECT_EQ(sharded.merged.llc_demand_misses, unsharded.llc_demand_misses) << shards;
-    EXPECT_EQ(sharded.merged.pf_issued, unsharded.pf_issued) << shards;
-    EXPECT_EQ(sharded.merged.pf_useful, unsharded.pf_useful) << shards;
-    EXPECT_EQ(sharded.merged.pf_late, unsharded.pf_late) << shards;
-    EXPECT_EQ(sharded.merged.pf_dropped, unsharded.pf_dropped) << shards;
-    // Shard windows tile the trace exactly.
-    std::size_t covered = 0;
-    for (const auto& s : sharded.shards) {
-      EXPECT_EQ(s.begin, covered);
-      covered = s.end;
+    for (std::size_t shards : {1u, 2u, 4u, 7u}) {
+      sim::ShardReplayOptions options;
+      options.shards = shards;
+      options.warmup = sim::kFullWarmup;
+      const sim::ShardedStats sharded = sim::run_sharded(config, trace, factory, options);
+      EXPECT_EQ(sharded.shards.size(), shards);
+      // The pinned telescoping merge: bit-exact on EVERY field.
+      EXPECT_EQ(sharded.merged.instructions, unsharded.instructions) << shards;
+      EXPECT_EQ(sharded.merged.cycles, unsharded.cycles) << shards;
+      EXPECT_EQ(sharded.merged.llc_accesses, unsharded.llc_accesses) << shards;
+      EXPECT_EQ(sharded.merged.llc_hits, unsharded.llc_hits) << shards;
+      EXPECT_EQ(sharded.merged.llc_demand_misses, unsharded.llc_demand_misses) << shards;
+      EXPECT_EQ(sharded.merged.pf_issued, unsharded.pf_issued) << shards;
+      EXPECT_EQ(sharded.merged.pf_useful, unsharded.pf_useful) << shards;
+      EXPECT_EQ(sharded.merged.pf_late, unsharded.pf_late) << shards;
+      EXPECT_EQ(sharded.merged.pf_dropped, unsharded.pf_dropped) << shards;
+      // Shard windows tile the trace exactly.
+      std::size_t covered = 0;
+      for (const auto& s : sharded.shards) {
+        EXPECT_EQ(s.begin, covered);
+        covered = s.end;
+      }
+      EXPECT_EQ(covered, trace.size());
     }
-    EXPECT_EQ(covered, trace.size());
   }
   // Baseline (no prefetcher) shards exactly too.
   const sim::SimStats base = sim::Simulator(config).run(trace, nullptr);
