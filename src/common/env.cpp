@@ -1,7 +1,8 @@
 #include "common/env.hpp"
 
 #include <cstdlib>
-#include <sstream>
+
+#include "common/spec.hpp"
 
 namespace dart::common {
 
@@ -27,15 +28,7 @@ std::string env_string(const char* name, const std::string& fallback) {
 }
 
 std::vector<std::string> env_list(const char* name) {
-  std::vector<std::string> out;
-  const char* v = std::getenv(name);
-  if (v == nullptr) return out;
-  std::stringstream ss(v);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
+  return split_spec_list(env_string(name, ""));
 }
 
 }  // namespace dart::common

@@ -19,7 +19,7 @@ double env_double(const char* name, double fallback);
 /// Reads a string env var, returning `fallback` when unset or empty.
 std::string env_string(const char* name, const std::string& fallback);
 
-/// Reads a comma-separated string list; empty when unset.
+/// Reads a name list split by common::split_spec_list; empty when unset.
 std::vector<std::string> env_list(const char* name);
 
 }  // namespace dart::common

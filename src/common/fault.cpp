@@ -1,82 +1,19 @@
 #include "common/fault.hpp"
 
 #include <list>
-#include <stdexcept>
 
 #include "common/rng.hpp"
+#include "common/spec.hpp"
 
 namespace dart::common {
 
 namespace {
 
-std::string trim(const std::string& s) {
-  std::size_t b = s.find_first_not_of(" \t");
-  std::size_t e = s.find_last_not_of(" \t");
-  return b == std::string::npos ? std::string() : s.substr(b, e - b + 1);
-}
-
-[[noreturn]] void bad_spec(const std::string& what) {
-  throw std::invalid_argument("DART_FAULT: " + what);
-}
-
-std::uint64_t parse_u64(const FaultSpec& spec, const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return static_cast<std::uint64_t>(v);
-  } catch (const std::exception&) {
-    bad_spec(spec.kind + ": parameter '" + key + "' is not an unsigned integer: '" + value + "'");
-  }
-}
-
-double parse_probability(const FaultSpec& spec, const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double p = std::stod(value, &used);
-    if (used != value.size() || p < 0.0 || p > 1.0) throw std::invalid_argument(value);
-    return p;
-  } catch (const std::exception&) {
-    bad_spec(spec.kind + ": parameter '" + key + "' is not a probability in [0, 1]: '" + value +
-             "'");
-  }
-}
-
-/// Looks up `key`; returns whether present, value in `out`.
-bool find_param(const FaultSpec& spec, const std::string& key, std::string& out) {
-  for (const auto& [k, v] : spec.params) {
-    if (k == key) {
-      out = v;
-      return true;
-    }
-  }
-  return false;
-}
-
-void require_known_params(const FaultSpec& spec, std::initializer_list<const char*> known) {
-  for (const auto& [k, v] : spec.params) {
-    bool ok = false;
-    for (const char* name : known) ok = ok || (k == name);
-    if (!ok) bad_spec(spec.kind + ": unknown parameter '" + k + "'");
-  }
-}
-
-std::uint64_t required_u64(const FaultSpec& spec, const std::string& key) {
-  std::string v;
-  if (!find_param(spec, key, v)) bad_spec(spec.kind + ": missing required parameter '" + key + "'");
-  return parse_u64(spec, key, v);
-}
-
-std::uint64_t optional_u64(const FaultSpec& spec, const std::string& key, std::uint64_t fallback) {
-  std::string v;
-  return find_param(spec, key, v) ? parse_u64(spec, key, v) : fallback;
-}
-
-std::string required_str(const FaultSpec& spec, const std::string& key) {
-  std::string v;
-  if (!find_param(spec, key, v)) bad_spec(spec.kind + ": missing required parameter '" + key + "'");
-  if (v.empty()) bad_spec(spec.kind + ": parameter '" + key + "' must not be empty");
-  return v;
+/// A `p=` probability: a number in [0, 1].
+double probability(Spec& spec) {
+  const double p = spec.get_double("p", 0.0);
+  if (p < 0.0 || p > 1.0) spec.fail("parameter 'p' must be a probability in [0, 1]");
+  return p;
 }
 
 /// Deterministic Bernoulli draw: counter-based SplitMix64
@@ -90,40 +27,6 @@ bool draw(double p, std::uint64_t seed, std::atomic<std::uint64_t>& counter) {
 }
 
 }  // namespace
-
-std::vector<FaultSpec> parse_fault_specs(const std::string& text) {
-  std::vector<FaultSpec> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t end = text.find(';', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string clause = trim(text.substr(start, end - start));
-    start = end + 1;
-    if (clause.empty()) continue;
-
-    FaultSpec spec;
-    const std::size_t colon = clause.find(':');
-    spec.kind = trim(clause.substr(0, colon));
-    if (spec.kind.empty()) bad_spec("empty fault kind in '" + clause + "'");
-    if (colon != std::string::npos) {
-      std::size_t p = colon + 1;
-      while (p <= clause.size()) {
-        std::size_t q = clause.find(',', p);
-        if (q == std::string::npos) q = clause.size();
-        const std::string param = trim(clause.substr(p, q - p));
-        p = q + 1;
-        if (param.empty()) continue;
-        const std::size_t eq = param.find('=');
-        if (eq == std::string::npos || eq == 0) {
-          bad_spec(spec.kind + ": parameter '" + param + "' is not key=value");
-        }
-        spec.params.emplace_back(trim(param.substr(0, eq)), trim(param.substr(eq + 1)));
-      }
-    }
-    out.push_back(std::move(spec));
-  }
-  return out;
-}
 
 /// The armed plan: immutable clause parameters plus mutable per-clause fire
 /// budgets (atomics; the plan object is shared as const by the hooks).
@@ -191,80 +94,72 @@ struct FaultInjector::Plan {
   std::list<CrashAfterCommit> crash;
 };
 
-void FaultInjector::install(const std::string& spec) {
-  const std::vector<FaultSpec> specs = parse_fault_specs(spec);
+void FaultInjector::install(const std::string& text) {
+  const std::vector<std::string> clauses = split_spec_list(text);
   auto plan = std::make_shared<Plan>();
-  for (const FaultSpec& s : specs) {
-    if (s.kind == "slow-shard") {
-      require_known_params(s, {"shard", "us", "batches"});
+  for (const std::string& clause : clauses) {
+    Spec s = Spec::parse(clause, kFaultGrammar);
+    const std::string& kind = s.name();
+    if (kind == "slow-shard") {
+      s.require({"shard", "us"});
       auto& c = plan->slow.emplace_back();
-      c.shard = static_cast<std::size_t>(required_u64(s, "shard"));
-      c.us = required_u64(s, "us");
-      c.batches = optional_u64(s, "batches", 0);
-    } else if (s.kind == "stall-shard") {
-      require_known_params(s, {"shard", "after"});
+      c.shard = static_cast<std::size_t>(s.get_uint("shard", 0));
+      c.us = s.get_uint("us", 0);
+      c.batches = s.get_uint("batches", 0);
+    } else if (kind == "stall-shard") {
+      s.require({"shard"});
       auto& c = plan->stall.emplace_back();
-      c.shard = static_cast<std::size_t>(required_u64(s, "shard"));
-      c.after = optional_u64(s, "after", 0);
-    } else if (s.kind == "drop-wake") {
-      require_known_params(s, {"p", "seed"});
-      std::string v;
-      if (!find_param(s, "p", v)) bad_spec("drop-wake: missing required parameter 'p'");
+      c.shard = static_cast<std::size_t>(s.get_uint("shard", 0));
+      c.after = s.get_uint("after", 0);
+    } else if (kind == "drop-wake") {
+      s.require({"p"});
       auto& c = plan->drop_wake.emplace_back();
-      c.p = parse_probability(s, "p", v);
-      c.seed = optional_u64(s, "seed", 42);
-    } else if (s.kind == "reject-submit") {
-      require_known_params(s, {"p", "seed", "shard"});
-      std::string v;
-      if (!find_param(s, "p", v)) bad_spec("reject-submit: missing required parameter 'p'");
+      c.p = probability(s);
+      c.seed = s.get_uint("seed", 42);
+    } else if (kind == "reject-submit") {
+      s.require({"p"});
       auto& c = plan->reject.emplace_back();
-      c.p = parse_probability(s, "p", v);
-      c.seed = optional_u64(s, "seed", 42);
-      std::string sh;
-      if (find_param(s, "shard", sh)) {
-        c.shard = static_cast<std::int64_t>(parse_u64(s, "shard", sh));
-      }
-    } else if (s.kind == "corrupt-artifact") {
-      require_known_params(s, {"offset", "count"});
+      c.p = probability(s);
+      c.seed = s.get_uint("seed", 42);
+      if (s.has("shard")) c.shard = static_cast<std::int64_t>(s.get_uint("shard", 0));
+    } else if (kind == "corrupt-artifact" || kind == "truncate-artifact") {
+      const bool truncate = kind == "truncate-artifact";
+      const char* arg = truncate ? "bytes" : "offset";
+      s.require({arg});
       auto& c = plan->mutate.emplace_back();
-      c.truncate = false;
-      c.arg = required_u64(s, "offset");
-      c.count = optional_u64(s, "count", 1);
-    } else if (s.kind == "truncate-artifact") {
-      require_known_params(s, {"bytes", "count"});
-      auto& c = plan->mutate.emplace_back();
-      c.truncate = true;
-      c.arg = required_u64(s, "bytes");
-      c.count = optional_u64(s, "count", 1);
-    } else if (s.kind == "fail-cell") {
-      require_known_params(s, {"match", "times"});
+      c.truncate = truncate;
+      c.arg = s.get_uint(arg, 0);
+      c.count = s.get_uint("count", 1);
+    } else if (kind == "fail-cell") {
+      s.require({"match"});
       auto& c = plan->fail_cell.emplace_back();
-      c.match = required_str(s, "match");
-      c.times = optional_u64(s, "times", 0);
-    } else if (s.kind == "slow-cell") {
-      require_known_params(s, {"match", "ms", "times"});
+      c.match = s.get_string("match", "");
+      c.times = s.get_uint("times", 0);
+    } else if (kind == "slow-cell") {
+      s.require({"match", "ms"});
       auto& c = plan->slow_cell.emplace_back();
-      c.match = required_str(s, "match");
-      c.ms = required_u64(s, "ms");
-      c.times = optional_u64(s, "times", 0);
-    } else if (s.kind == "corrupt-store-tail") {
-      require_known_params(s, {"bytes", "count"});
+      c.match = s.get_string("match", "");
+      c.ms = s.get_uint("ms", 0);
+      c.times = s.get_uint("times", 0);
+    } else if (kind == "corrupt-store-tail") {
+      s.require({"bytes"});
       auto& c = plan->mutate_store.emplace_back();
-      c.bytes = required_u64(s, "bytes");
-      if (c.bytes == 0) bad_spec("corrupt-store-tail: 'bytes' must be positive");
-      c.count = optional_u64(s, "count", 1);
-    } else if (s.kind == "crash-after-commit") {
-      require_known_params(s, {"after", "hard"});
+      c.bytes = s.get_uint("bytes", 0);
+      if (c.bytes == 0) s.fail("'bytes' must be positive");
+      c.count = s.get_uint("count", 1);
+    } else if (kind == "crash-after-commit") {
+      s.require({"after"});
       auto& c = plan->crash.emplace_back();
-      c.after = required_u64(s, "after");
-      if (c.after == 0) bad_spec("crash-after-commit: 'after' must be positive");
-      c.hard = optional_u64(s, "hard", 0) != 0;
+      c.after = s.get_uint("after", 0);
+      if (c.after == 0) s.fail("'after' must be positive");
+      c.hard = s.get_flag("hard");
     } else {
-      bad_spec("unknown fault kind '" + s.kind + "'");
+      s.fail("unknown fault kind '" + kind + "'");
     }
+    s.reject_unused();
   }
 
-  const bool empty = specs.empty();
+  const bool empty = clauses.empty();
   std::lock_guard<std::mutex> lock(mu_);
   plan_ = empty ? nullptr : std::move(plan);
   slow_batches_.store(0, std::memory_order_relaxed);

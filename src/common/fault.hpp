@@ -17,13 +17,9 @@
 // `tests/serve_chaos_test.cpp` and `tests/sweep_chaos_test.cpp` build
 // their assertions on.
 //
-// Grammar (see §11 and §13 for the full tables):
-//
-//   spec     := fault (';' fault)*
-//   fault    := kind [':' param (',' param)*]
-//   param    := key '=' value
-//
-// Serving-path kinds:
+// The spec is a ';'-separated list of clauses in the grammar of
+// common/spec.hpp, `kind:key=value,...` (DESIGN.md §4; §11 and §13 hold the
+// key tables). Serving-path kinds:
 //
 //   slow-shard:shard=N,us=U[,batches=B]   delay each batch on shard N by U
 //                                         microseconds (first B batches;
@@ -54,11 +50,12 @@
 //                                         next C result-store segment
 //                                         images read at open (a torn tail
 //                                         the recovery scan must absorb)
-//   crash-after-commit:after=N[,hard=1]   after the N-th durable result
+//   crash-after-commit:after=N[,hard]     after the N-th durable result
 //                                         commit, crash the sweep: throw
 //                                         core::SweepCrash (default) or
-//                                         _Exit(17) when hard=1 (true
-//                                         process kill for CI resume tests)
+//                                         _Exit(17) when hard (or hard=1)
+//                                         is set (true process kill for CI
+//                                         resume tests)
 #pragma once
 
 #include <atomic>
@@ -70,18 +67,6 @@
 #include <vector>
 
 namespace dart::common {
-
-/// One parsed fault clause: its kind plus the key=value parameters.
-struct FaultSpec {
-  std::string kind;                                          ///< e.g. "slow-shard"
-  std::vector<std::pair<std::string, std::string>> params;   ///< in spec order
-};
-
-/// Parses a `DART_FAULT` spec string into clauses; throws
-/// std::invalid_argument on grammar errors, unknown kinds, unknown or
-/// missing parameters, or out-of-range values. An empty string parses to
-/// an empty plan.
-std::vector<FaultSpec> parse_fault_specs(const std::string& text);
 
 /// What `FaultInjector::on_batch` tells the shard loop to do before
 /// serving the batch it just assembled.
@@ -128,8 +113,9 @@ struct FaultCounters {
 class FaultInjector {
  public:
   /// Parses and arms `spec`; an empty string disarms. Resets the fired
-  /// counters. Throws std::invalid_argument on grammar errors (leaving the
-  /// previous plan armed).
+  /// counters. Throws std::invalid_argument on grammar errors, unknown
+  /// kinds, unknown or missing parameters, or out-of-range values, leaving
+  /// the previous plan armed.
   void install(const std::string& spec);
 
   /// Disarms all faults (hooks return to their single-load fast path).

@@ -17,6 +17,7 @@
 #include "common/env.hpp"
 #include "common/fault.hpp"
 #include "common/rng.hpp"
+#include "common/spec.hpp"
 #include "common/thread_pool.hpp"
 #include "core/artifact_cache.hpp"
 #include "core/configs.hpp"
@@ -250,7 +251,7 @@ ExperimentSpec ExperimentSpec::bench_defaults() {
     }
   }
   const std::string pfs = common::env_string("DART_PREFETCHERS", "");
-  if (!pfs.empty()) spec.prefetchers = sim::split_spec_list(pfs);
+  if (!pfs.empty()) spec.prefetchers = common::split_spec_list(pfs);
   return spec;
 }
 
@@ -377,9 +378,17 @@ ExperimentResult ExperimentRunner::run() {
   if (workloads.empty()) {
     workloads.assign(trace::all_apps().begin(), trace::all_apps().end());
   }
-  // Fail fast on unknown prefetcher names, before any training starts.
+  // Fail fast on bad prefetcher specs, before any training starts. A spec
+  // that resolves to a DART model without `quant=` serves tables in the
+  // DART_QUANT mode, so only such cells carry that mode in their key.
+  const auto& registry = sim::PrefetcherRegistry::instance();
+  std::vector<char> reads_quant_knob;
   for (const auto& spec_text : spec_.prefetchers) {
-    sim::PrefetcherRegistry::instance().validate(spec_text);
+    registry.validate(spec_text);
+    const common::Spec resolved = registry.resolve(spec_text);
+    reads_quant_knob.push_back(
+        (resolved.name() == "dart" || resolved.name() == "dart-artifact") &&
+        !resolved.has("quant"));
   }
 
   const SweepOptions& sweep = spec_.sweep;
@@ -388,15 +397,15 @@ ExperimentResult ExperimentRunner::run() {
   std::unique_ptr<ResultStore> store;
   if (!sweep.store_dir.empty()) store = std::make_unique<ResultStore>(sweep.store_dir);
 
-  // Cell identity: the pipeline configuration hash, the DART table mode a
-  // spec without `quant=` resolves to (DART_QUANT), and the sweep replay
-  // plan (NN sampling, shard count, warmup) — a cell is only reused when
-  // it would provably reproduce the stored numbers.
-  auto config_of = [&](const trace::Workload& w) {
+  // Cell identity: the pipeline configuration hash, the DART_QUANT mode
+  // for cells that read it, and the sweep replay plan (NN sampling, shard
+  // count, warmup) — a cell is only reused when it would provably
+  // reproduce the stored numbers.
+  auto config_of = [&](const std::string& pipeline_key, std::size_t p) {
     std::ostringstream os;
-    os << pipeline_cache_key(w, spec_.pipeline) << "/q"
-       << tabular::quant_mode_name(quant_mode_from_env()) << "/nn" << spec_.nn_trigger_sample
-       << "/sh" << sweep.trace_shards << "/w";
+    os << pipeline_key;
+    if (reads_quant_knob[p]) os << "/q" << tabular::quant_mode_name(quant_mode_from_env());
+    os << "/nn" << spec_.nn_trigger_sample << "/sh" << sweep.trace_shards << "/w";
     if (sweep.trace_shards <= 1 || sweep.shard_warmup == sim::kFullWarmup) {
       os << "full";
     } else {
@@ -412,10 +421,11 @@ ExperimentResult ExperimentRunner::run() {
   std::vector<char> pending(result.cells.size(), 1);
   if (store) {
     for (std::size_t a = 0; a < workloads.size(); ++a) {
-      const std::string config = config_of(workloads[a]);
+      const std::string pipeline_key = pipeline_cache_key(workloads[a], spec_.pipeline);
       for (std::size_t p = 0; p < npf; ++p) {
         const std::size_t i = a * npf + p;
-        keys[i] = sweep_cell_key(workloads[a].spec(), spec_.prefetchers[p], config);
+        keys[i] = sweep_cell_key(workloads[a].spec(), spec_.prefetchers[p],
+                                 config_of(pipeline_key, p));
         CellRecord rec;
         // Only completed records are reused; quarantined cells get a fresh
         // chance on every resume (their record is superseded on success).

@@ -4,7 +4,6 @@
 // from the PrefetcherContext, so these factories work under any harness
 // that can lend models — ExperimentRunner, tests, or custom drivers.
 #include <memory>
-#include <stdexcept>
 
 #include "core/configs.hpp"
 #include "io/artifact.hpp"
@@ -18,7 +17,7 @@ namespace {
 /// Shared adapter knobs every model-backed spec accepts: threshold=, degree=
 /// and sample= (trigger sampling; NN baselines default to the context's
 /// simulation-cost sampling, DART is cheap enough to trigger every access).
-prefetch::NnAdapterOptions adapter_options(PrefetcherSpec& spec, PrefetcherContext& context,
+prefetch::NnAdapterOptions adapter_options(common::Spec& spec, PrefetcherContext& context,
                                            std::size_t default_sample) {
   prefetch::NnAdapterOptions o;
   o.prep = context.prep;
@@ -29,16 +28,16 @@ prefetch::NnAdapterOptions adapter_options(PrefetcherSpec& spec, PrefetcherConte
   return o;
 }
 
-void require(bool present, const PrefetcherSpec& spec, const char* provider) {
+void require(bool present, const common::Spec& spec, const char* provider) {
   if (!present) {
-    throw std::runtime_error("prefetcher spec '" + spec.text() + "' needs a trained model: " +
-                             "PrefetcherContext::" + provider + " is not set");
+    throw MissingModelError("prefetcher spec '" + spec.text() + "' needs a trained model: " +
+                            "PrefetcherContext::" + provider + " is not set");
   }
 }
 
 /// `quant=off|int16|int8` on the DART specs: an explicit value wins, an
 /// absent key falls back to the process-wide DART_QUANT knob.
-tabular::QuantMode quant_param(PrefetcherSpec& spec) {
+tabular::QuantMode quant_param(common::Spec& spec) {
   const std::string value = spec.get_string("quant", "");
   return value.empty() ? core::quant_mode_from_env() : tabular::parse_quant_mode(value);
 }
@@ -46,7 +45,7 @@ tabular::QuantMode quant_param(PrefetcherSpec& spec) {
 }  // namespace
 
 void register_model_backed_prefetchers(PrefetcherRegistry& registry) {
-  registry.add("transfetch", [](PrefetcherSpec& spec, PrefetcherContext& context) {
+  registry.add("transfetch", [](common::Spec& spec, PrefetcherContext& context) {
     require(static_cast<bool>(context.attention_model), spec, "attention_model");
     const bool ideal = spec.get_flag("ideal");
     prefetch::NnAdapterOptions o = adapter_options(spec, context, context.nn_trigger_sample);
@@ -56,7 +55,7 @@ void register_model_backed_prefetchers(PrefetcherRegistry& registry) {
   });
   registry.add_alias("transfetch-i", "transfetch", {{"ideal", "1"}});
 
-  registry.add("voyager", [](PrefetcherSpec& spec, PrefetcherContext& context) {
+  registry.add("voyager", [](common::Spec& spec, PrefetcherContext& context) {
     require(static_cast<bool>(context.lstm_model), spec, "lstm_model");
     const bool ideal = spec.get_flag("ideal");
     prefetch::NnAdapterOptions o = adapter_options(spec, context, context.nn_trigger_sample);
@@ -66,7 +65,7 @@ void register_model_backed_prefetchers(PrefetcherRegistry& registry) {
   });
   registry.add_alias("voyager-i", "voyager", {{"ideal", "1"}});
 
-  registry.add("dart", [](PrefetcherSpec& spec, PrefetcherContext& context) {
+  registry.add("dart", [](common::Spec& spec, PrefetcherContext& context) {
     require(static_cast<bool>(context.dart_model), spec, "dart_model");
     DartModelRequest request;
     request.variant = spec.get_string("variant", "default");
@@ -86,12 +85,9 @@ void register_model_backed_prefetchers(PrefetcherRegistry& registry) {
   // context providers, no training dependency. The artifact's embedded
   // preprocessing geometry overrides the context's, since inference inputs
   // must be built exactly as the model was trained.
-  registry.add("dart-artifact", [](PrefetcherSpec& spec, PrefetcherContext& context) {
+  registry.add("dart-artifact", [](common::Spec& spec, PrefetcherContext& context) {
+    spec.require({"file"});
     const std::string file = spec.get_string("file", "");
-    if (file.empty()) {
-      throw std::invalid_argument("prefetcher spec '" + spec.text() +
-                                  "' needs file=<path to .dart artifact>");
-    }
     io::ArtifactInfo info;
     auto predictor =
         std::make_shared<tabular::TabularPredictor>(io::load_predictor_artifact(file, &info));

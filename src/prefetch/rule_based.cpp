@@ -205,14 +205,14 @@ void register_rule_based_prefetchers(PrefetcherRegistry& registry) {
   using prefetch::NextLinePrefetcher;
   using prefetch::StridePrefetcher;
 
-  registry.add("nextline", [](PrefetcherSpec& spec, PrefetcherContext&) {
+  registry.add("nextline", [](common::Spec& spec, PrefetcherContext&) {
     return std::make_unique<NextLinePrefetcher>(spec.get_uint("degree", 2));
   });
-  registry.add("stride", [](PrefetcherSpec& spec, PrefetcherContext&) {
+  registry.add("stride", [](common::Spec& spec, PrefetcherContext&) {
     return std::make_unique<StridePrefetcher>(spec.get_uint("table", 256),
                                               spec.get_uint("degree", 2));
   });
-  registry.add("bo", [](PrefetcherSpec& spec, PrefetcherContext&) {
+  registry.add("bo", [](common::Spec& spec, PrefetcherContext&) {
     BestOffsetPrefetcher::Options o;
     o.rr_entries = spec.get_uint("rr", o.rr_entries);
     o.score_max = static_cast<int>(spec.get_uint("score_max", o.score_max));
@@ -223,7 +223,7 @@ void register_rule_based_prefetchers(PrefetcherRegistry& registry) {
     o.latency = spec.get_uint("latency", o.latency);
     return std::make_unique<BestOffsetPrefetcher>(o);
   });
-  registry.add("isb", [](PrefetcherSpec& spec, PrefetcherContext&) {
+  registry.add("isb", [](common::Spec& spec, PrefetcherContext&) {
     IsbPrefetcher::Options o;
     o.max_mappings = spec.get_uint("mappings", o.max_mappings);
     o.degree = spec.get_uint("degree", o.degree);

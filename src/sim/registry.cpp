@@ -1,26 +1,13 @@
 #include "sim/registry.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <sstream>
 #include <stdexcept>
 
 namespace dart::sim {
 
 namespace {
 
-std::string trim(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return s;
-}
+using common::lower;
 
 /// Display-name decorator: forwards everything to the wrapped prefetcher
 /// but reports a caller-chosen name (the spec's `label=` parameter), so
@@ -48,112 +35,6 @@ class RelabeledPrefetcher final : public Prefetcher {
 };
 
 }  // namespace
-
-// ------------------------------------------------------------ PrefetcherSpec
-
-PrefetcherSpec PrefetcherSpec::parse(const std::string& text) {
-  PrefetcherSpec spec;
-  spec.text_ = trim(text);
-  const std::size_t colon = spec.text_.find(':');
-  spec.name_ = lower(trim(spec.text_.substr(0, colon)));
-  if (spec.name_.empty()) {
-    throw std::invalid_argument("prefetcher spec '" + text + "' has an empty name");
-  }
-  if (colon == std::string::npos) return spec;
-
-  std::stringstream params(spec.text_.substr(colon + 1));
-  std::string item;
-  while (std::getline(params, item, ',')) {
-    item = trim(item);
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      spec.params_[lower(item)] = "1";  // bare flag
-      continue;
-    }
-    const std::string key = lower(trim(item.substr(0, eq)));
-    const std::string value = trim(item.substr(eq + 1));
-    if (key.empty() || value.empty()) {
-      throw std::invalid_argument("prefetcher spec '" + text + "': malformed parameter '" +
-                                  item + "'");
-    }
-    spec.params_[key] = value;
-  }
-  return spec;
-}
-
-bool PrefetcherSpec::has(const std::string& key) const {
-  return params_.count(lower(key)) != 0;
-}
-
-std::string PrefetcherSpec::get_string(const std::string& key, const std::string& fallback) {
-  const std::string k = lower(key);
-  used_.insert(k);
-  auto it = params_.find(k);
-  return it == params_.end() ? fallback : it->second;
-}
-
-std::size_t PrefetcherSpec::get_uint(const std::string& key, std::size_t fallback) {
-  const std::string v = get_string(key, "");
-  if (v.empty()) return fallback;
-  try {
-    // std::stoull silently wraps negative input to huge values.
-    if (v[0] == '-' || v[0] == '+') throw std::invalid_argument(v);
-    std::size_t pos = 0;
-    const unsigned long long parsed = std::stoull(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return static_cast<std::size_t>(parsed);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("prefetcher spec '" + text_ + "': parameter '" + key +
-                                "' expects an integer, got '" + v + "'");
-  }
-}
-
-double PrefetcherSpec::get_double(const std::string& key, double fallback) {
-  const std::string v = get_string(key, "");
-  if (v.empty()) return fallback;
-  try {
-    std::size_t pos = 0;
-    const double parsed = std::stod(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("prefetcher spec '" + text_ + "': parameter '" + key +
-                                "' expects a number, got '" + v + "'");
-  }
-}
-
-bool PrefetcherSpec::get_flag(const std::string& key, bool fallback) {
-  const std::string v = lower(get_string(key, ""));
-  if (v.empty()) return fallback;
-  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  throw std::invalid_argument("prefetcher spec '" + text_ + "': parameter '" + key +
-                              "' expects a boolean, got '" + v + "'");
-}
-
-void PrefetcherSpec::set_default(const std::string& key, const std::string& value) {
-  params_.emplace(lower(key), value);
-}
-
-std::vector<std::string> PrefetcherSpec::unused_keys() const {
-  std::vector<std::string> out;
-  for (const auto& [key, value] : params_) {
-    if (used_.count(key) == 0) out.push_back(key);
-  }
-  return out;
-}
-
-std::string PrefetcherSpec::canonical() const {
-  std::string out = name_;
-  char sep = ':';
-  for (const auto& [key, value] : params_) {  // std::map: already key-sorted
-    out += sep;
-    out += key + "=" + value;
-    sep = ',';
-  }
-  return out;
-}
 
 // -------------------------------------------------------- PrefetcherRegistry
 
@@ -193,55 +74,56 @@ std::vector<std::string> PrefetcherRegistry::known_names() const {
   return names;
 }
 
-void PrefetcherRegistry::validate(const std::string& spec_text) const {
-  const PrefetcherSpec spec = PrefetcherSpec::parse(spec_text);
-  if (!contains(spec.name())) {
+common::Spec PrefetcherRegistry::resolve(const std::string& spec_text) const {
+  common::Spec spec = common::Spec::parse(spec_text, common::kPrefetcherGrammar);
+  const std::string name = spec.name();
+  bool registered = false;
+  {
+    std::lock_guard lock(mu_);
+    const auto alias = aliases_.find(name);
+    if (alias != aliases_.end()) {
+      for (const auto& [key, value] : alias->second.implied) spec.set_default(key, value);
+      spec.set_name(alias->second.target);
+    }
+    registered = factories_.count(spec.name()) != 0;
+  }
+  if (!registered) {
     std::string known;
     for (const auto& n : known_names()) known += (known.empty() ? "" : ", ") + n;
     // A comma inside the name means a ','-separated list of specs where at
     // least one carries parameters — only ';' can separate those.
-    const std::string hint = spec.name().find(',') != std::string::npos
+    const std::string hint = name.find(',') != std::string::npos
                                  ? " (separate multiple parameterized specs with ';')"
                                  : "";
-    throw std::invalid_argument("unknown prefetcher '" + spec.name() + "' in spec '" +
-                                spec_text + "'" + hint + "; known: " + known);
+    throw std::invalid_argument("unknown prefetcher '" + name + "' in spec '" + spec_text +
+                                "'" + hint + "; known: " + known);
   }
+  return spec;
 }
 
 std::unique_ptr<Prefetcher> PrefetcherRegistry::make(const std::string& spec_text,
                                                      PrefetcherContext& context) const {
-  validate(spec_text);
-  PrefetcherSpec spec = PrefetcherSpec::parse(spec_text);
-  std::string name = spec.name();
-
+  common::Spec spec = resolve(spec_text);
   PrefetcherFactory factory;
   {
     std::lock_guard lock(mu_);
-    auto alias = aliases_.find(name);
-    if (alias != aliases_.end()) {
-      for (const auto& [key, value] : alias->second.implied) spec.set_default(key, value);
-      name = alias->second.target;
-    }
-    auto it = factories_.find(name);
-    if (it == factories_.end()) {
-      throw std::invalid_argument("prefetcher alias '" + spec.name() +
-                                  "' targets unregistered '" + name + "'");
-    }
-    factory = it->second;
+    factory = factories_.at(spec.name());
   }
-
   const std::string label = spec.get_string("label", "");
   std::unique_ptr<Prefetcher> pf = factory(spec, context);
-
-  const std::vector<std::string> unused = spec.unused_keys();
-  if (!unused.empty()) {
-    std::string keys;
-    for (const auto& k : unused) keys += (keys.empty() ? "" : ", ") + k;
-    throw std::invalid_argument("prefetcher spec '" + spec_text +
-                                "': unknown parameter(s): " + keys);
-  }
+  spec.reject_unused();
   if (!label.empty()) pf = std::make_unique<RelabeledPrefetcher>(std::move(pf), label);
   return pf;
+}
+
+void PrefetcherRegistry::validate(const std::string& spec_text) const {
+  PrefetcherContext no_models;
+  try {
+    make(spec_text, no_models);
+  } catch (const MissingModelError&) {
+    // Model-backed: grammar, name and every parameter read before the
+    // model was requested are checked; the rest waits for the real context.
+  }
 }
 
 std::unique_ptr<Prefetcher> make_prefetcher(const std::string& spec_text,
@@ -252,22 +134,6 @@ std::unique_ptr<Prefetcher> make_prefetcher(const std::string& spec_text,
 std::unique_ptr<Prefetcher> make_prefetcher(const std::string& spec_text) {
   PrefetcherContext context;
   return PrefetcherRegistry::instance().make(spec_text, context);
-}
-
-std::vector<std::string> split_spec_list(const std::string& text) {
-  // Commas split only parameter-free legacy name lists; any ';' or ':'
-  // means spec grammar, where ';' is the separator.
-  const bool legacy_names_only =
-      text.find(';') == std::string::npos && text.find(':') == std::string::npos;
-  const char delim = legacy_names_only ? ',' : ';';
-  std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, delim)) {
-    item = trim(item);
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
 }
 
 }  // namespace dart::sim

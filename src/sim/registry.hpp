@@ -1,16 +1,12 @@
 // Extensible prefetcher registry (DESIGN.md §4).
 //
 // Every prefetcher the experiment harness knows is a named factory keyed by
-// a parseable *spec string*:
-//
-//   spec   := name [":" param ("," param)*]
-//   param  := key "=" value | flag
-//
-// e.g. "stride:table=256,degree=4", "dart:variant=l,threshold=0.6" or
-// "transfetch:ideal". Names and keys are case-insensitive; a bare flag is
-// shorthand for `flag=1`. Legacy display names ("DART-S", "TransFetch-I")
-// are registered as aliases that imply the matching parameters, so every
-// spec the old hard-coded driver accepted still works.
+// a *spec string* in the grammar of common/spec.hpp, e.g.
+// "stride:table=256,degree=4", "dart:variant=l,threshold=0.6" or
+// "transfetch:ideal". Every spec also accepts `label=<name>` to override the
+// display name. Legacy display names ("DART-S", "TransFetch-I") are
+// registered as aliases that imply the matching parameters, so every spec
+// the old hard-coded driver accepted still works.
 //
 // Factories receive a `PrefetcherContext` that lends them *lazy* access to
 // trained pipeline artifacts (attention teacher, LSTM baseline, tabularized
@@ -25,10 +21,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/spec.hpp"
 #include "sim/prefetcher.hpp"
 #include "tabular/quant.hpp"
 #include "trace/preprocess.hpp"
@@ -42,52 +39,6 @@ class TabularPredictor;
 }  // namespace dart::tabular
 
 namespace dart::sim {
-
-/// Parsed form of a prefetcher spec string. The grammar:
-///
-///     spec   := name [":" param ("," param)*]
-///     param  := key "=" value | flag        (a bare flag means flag=1)
-///
-/// e.g. `"bo"`, `"stride:table=256,degree=4"`, `"transfetch:ideal"`,
-/// `"dart:variant=l,threshold=0.6"`, `"dart-artifact:file=m.dart"`. Names
-/// and keys are case-insensitive; every spec additionally accepts
-/// `label=<name>` to override the display name. Parameter getters record
-/// which keys were consumed so the registry can reject typos
-/// (`unused_keys`).
-class PrefetcherSpec {
- public:
-  /// Parses `text`; throws std::invalid_argument on an empty name or a
-  /// malformed `key=value` pair.
-  static PrefetcherSpec parse(const std::string& text);
-
-  /// The (lowercased) prefetcher name the spec opens with.
-  const std::string& name() const { return name_; }
-  /// The original spec text as supplied by the user.
-  const std::string& text() const { return text_; }
-
-  bool has(const std::string& key) const;
-  std::string get_string(const std::string& key, const std::string& fallback);
-  /// Throws std::invalid_argument when the value does not parse as a number.
-  std::size_t get_uint(const std::string& key, std::size_t fallback);
-  double get_double(const std::string& key, double fallback);
-  /// Bare flags ("transfetch:ideal") and 1/true/yes/on are true.
-  bool get_flag(const std::string& key, bool fallback = false);
-
-  /// Installs a parameter unless the user already set it (alias expansion).
-  void set_default(const std::string& key, const std::string& value);
-  /// Keys present in the spec that no getter ever consumed.
-  std::vector<std::string> unused_keys() const;
-
-  /// Canonical "name:k=v,..." form (keys sorted); parsing it yields an
-  /// equal spec, making specs round-trippable through CSV/JSON exports.
-  std::string canonical() const;
-
- private:
-  std::string text_;
-  std::string name_;
-  std::map<std::string, std::string> params_;
-  std::set<std::string> used_;
-};
 
 /// Request for a tabularized DART predictor, as expressed in a spec
 /// ("dart:variant=s", optionally with table overrides).
@@ -131,11 +82,17 @@ struct PrefetcherContext {
   std::function<DartModel(const DartModelRequest&)> dart_model;
 };
 
-/// Constructs a prefetcher from its parsed spec, borrowing trained
+/// Thrown by a factory whose context lacks the trained-model provider it
+/// needs (`make_prefetcher(spec)` on "dart", say).
+struct MissingModelError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Constructs a prefetcher from its resolved spec, borrowing trained
 /// artifacts from the context. Factories must consume every parameter they
-/// honor via the PrefetcherSpec getters (unconsumed keys are rejected).
+/// honor via the common::Spec getters (unconsumed keys are rejected).
 using PrefetcherFactory =
-    std::function<std::unique_ptr<Prefetcher>(PrefetcherSpec&, PrefetcherContext&)>;
+    std::function<std::unique_ptr<Prefetcher>(common::Spec&, PrefetcherContext&)>;
 
 /// Process-wide name -> factory map behind every prefetcher the experiment
 /// harness can build (DESIGN.md §4). Adding a scenario is one `add()` call
@@ -154,15 +111,23 @@ class PrefetcherRegistry {
   void add_alias(const std::string& alias, const std::string& target,
                  const std::map<std::string, std::string>& implied = {});
 
-  /// Parses `spec_text`, resolves aliases, runs the factory and rejects
-  /// unknown names or unconsumed parameters with std::invalid_argument.
-  /// A `label=<name>` parameter is accepted on every spec and overrides the
-  /// constructed prefetcher's display name (for parameter sweeps).
+  /// Parses `spec_text` and expands an alias into its target name plus the
+  /// parameters it implies ("DART-S" -> "dart:variant=s"). Throws
+  /// std::invalid_argument when the spec is malformed or names an
+  /// unregistered prefetcher.
+  common::Spec resolve(const std::string& spec_text) const;
+
+  /// Resolves `spec_text`, runs the factory and rejects unconsumed
+  /// parameters with std::invalid_argument. A `label=<name>` parameter
+  /// overrides the constructed prefetcher's display name (for sweeps).
   std::unique_ptr<Prefetcher> make(const std::string& spec_text,
                                    PrefetcherContext& context) const;
 
-  /// Throws std::invalid_argument when `spec_text` is malformed or names an
-  /// unregistered prefetcher. Cheap (does not construct anything).
+  /// Throws std::invalid_argument when `spec_text` would not build: it is
+  /// malformed, names an unregistered prefetcher, or (for specs that need
+  /// no trained model) carries a bad or unknown parameter. Builds the
+  /// prefetcher once without a context; model-backed specs are checked up
+  /// to their missing model.
   void validate(const std::string& spec_text) const;
 
   bool contains(const std::string& name) const;
@@ -185,11 +150,6 @@ std::unique_ptr<Prefetcher> make_prefetcher(const std::string& spec_text,
                                             PrefetcherContext& context);
 /// Context-free overload for prefetchers that need no trained artifacts.
 std::unique_ptr<Prefetcher> make_prefetcher(const std::string& spec_text);
-
-/// Splits a user-facing spec list (DART_PREFETCHERS, CLI args): semicolons
-/// always separate; commas also separate when no spec in the list carries
-/// parameters (legacy "BO,ISB,DART" lists keep working).
-std::vector<std::string> split_spec_list(const std::string& text);
 
 // Built-in factory packs, installed by instance() on first use. Defined
 // next to the prefetchers they wrap (src/prefetch/rule_based.cpp and

@@ -117,19 +117,15 @@ TEST(Isb, CapacityEvictionKeepsMapsBounded) {
 
 // ------------------------------------------------------------- NN adapters
 
-/// Deterministic fake predictor: always fires delta +1 with p=0.9.
-class FakeTabular {
- public:
-  static std::shared_ptr<tabular::TabularPredictor> make() { return nullptr; }
-};
-
 /// Adapter mechanics are tested through DartPrefetcher with a predictor
-/// built from a tiny trained model (integration-lite).
+/// built from a tiny trained model (integration-lite). Training and
+/// tabularizing run once per suite; the tests only read the shared const
+/// model and predictor.
 class AdapterFixture : public ::testing::Test {
  protected:
   static constexpr std::size_t kT = 4;
 
-  void SetUp() override {
+  static void SetUpTestSuite() {
     nn::ModelConfig arch;
     arch.seq_len = kT;
     arch.addr_dim = 4;
@@ -139,7 +135,7 @@ class AdapterFixture : public ::testing::Test {
     arch.out_dim = 64;
     arch.heads = 2;
     arch.layers = 1;
-    model_ = std::make_unique<nn::AddressPredictor>(arch, 5);
+    auto model = std::make_shared<nn::AddressPredictor>(arch, 5);
 
     // Train on a +1-delta sequential pattern so predictions are meaningful.
     trace::MemoryTrace t;
@@ -149,19 +145,25 @@ class AdapterFixture : public ::testing::Test {
     prep_.pc_segments = 4;
     prep_.bitmap_size = 64;
     prep_.lookforward = 16;
-    data_ = trace::make_dataset(t, prep_);
+    const nn::Dataset data = trace::make_dataset(t, prep_);
     nn::TrainOptions opt;
     opt.epochs = 10;
-    nn::train_bce(*model_, data_, opt);
+    nn::train_bce(*model, data, opt);
 
     tabular::TabularizeOptions tab;
     tab.tables = tabular::TableConfig::uniform(16, 2);
     tab.max_train_samples = 256;
-    predictor_ = std::make_shared<tabular::TabularPredictor>(
-        tabular::tabularize(*model_, data_.addr, data_.pc, tab));
+    predictor_ = std::make_shared<const tabular::TabularPredictor>(
+        tabular::tabularize(*model, data.addr, data.pc, tab));
+    model_ = std::move(model);
   }
 
-  NnAdapterOptions adapter_opts(std::size_t latency = 0) const {
+  static void TearDownTestSuite() {
+    model_.reset();
+    predictor_.reset();
+  }
+
+  static NnAdapterOptions adapter_opts(std::size_t latency = 0) {
     NnAdapterOptions o;
     o.prep = prep_;
     o.latency = latency;
@@ -169,10 +171,9 @@ class AdapterFixture : public ::testing::Test {
     return o;
   }
 
-  trace::PreprocessOptions prep_;
-  nn::Dataset data_;
-  std::unique_ptr<nn::AddressPredictor> model_;
-  std::shared_ptr<tabular::TabularPredictor> predictor_;
+  static inline trace::PreprocessOptions prep_;
+  static inline std::shared_ptr<const nn::AddressPredictor> model_;
+  static inline std::shared_ptr<const tabular::TabularPredictor> predictor_;
 };
 
 TEST_F(AdapterFixture, NoPredictionsBeforeHistoryWarmup) {
@@ -232,8 +233,7 @@ TEST_F(AdapterFixture, InitiationIntervalThrottlesTriggers) {
 }
 
 TEST_F(AdapterFixture, AttentionAdapterMatchesModelStorage) {
-  auto shared = std::shared_ptr<nn::AddressPredictor>(model_.get(), [](auto*) {});
-  AttentionPrefetcher pf(shared, adapter_opts(4500), "TransFetch");
+  AttentionPrefetcher pf(model_, adapter_opts(4500), "TransFetch");
   EXPECT_EQ(pf.storage_bytes(), model_->num_params() * sizeof(float));
   EXPECT_EQ(pf.prediction_latency(), 4500u);
   EXPECT_EQ(pf.name(), "TransFetch");
@@ -302,7 +302,7 @@ TEST_F(AdapterFixture, ConcurrentNnReplaysOnOneConstModelMatchSerial) {
   // The practical and ideal variants of both NN baselines share one const
   // model each; replaying them as concurrent pool tasks must reproduce the
   // serial counters exactly (and be race-free under TSan).
-  const std::shared_ptr<const nn::AddressPredictor> attention = std::move(model_);
+  const std::shared_ptr<const nn::AddressPredictor>& attention = model_;
   const auto lstm = std::make_shared<const nn::LstmPredictor>(4, 4, 8, 64, 9);
   const trace::MemoryTrace t = two_stream_trace(3000);
   sim::SimConfig cfg;

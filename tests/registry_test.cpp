@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/spec.hpp"
 #include "core/configs.hpp"
 #include "core/experiment.hpp"
 #include "sim/registry.hpp"
@@ -16,8 +17,12 @@ namespace {
 
 // ----------------------------------------------------------- spec parsing
 
+common::Spec pf_spec(const std::string& text) {
+  return common::Spec::parse(text, common::kPrefetcherGrammar);
+}
+
 TEST(PrefetcherSpec, ParsesNameAndParams) {
-  auto spec = sim::PrefetcherSpec::parse("stride:table=256,degree=4");
+  auto spec = pf_spec("stride:table=256,degree=4");
   EXPECT_EQ(spec.name(), "stride");
   EXPECT_EQ(spec.get_uint("table", 0), 256u);
   EXPECT_EQ(spec.get_uint("degree", 0), 4u);
@@ -25,7 +30,7 @@ TEST(PrefetcherSpec, ParsesNameAndParams) {
 }
 
 TEST(PrefetcherSpec, DefaultsFlagsAndCase) {
-  auto spec = sim::PrefetcherSpec::parse("TransFetch: Ideal , Threshold=0.6");
+  auto spec = pf_spec("TransFetch: Ideal , Threshold=0.6");
   EXPECT_EQ(spec.name(), "transfetch");  // names are case-insensitive
   EXPECT_TRUE(spec.get_flag("ideal"));   // bare token = boolean flag
   EXPECT_DOUBLE_EQ(spec.get_double("threshold", 0.5), 0.6);
@@ -34,9 +39,9 @@ TEST(PrefetcherSpec, DefaultsFlagsAndCase) {
 }
 
 TEST(PrefetcherSpec, CanonicalRoundTrips) {
-  auto spec = sim::PrefetcherSpec::parse("dart:variant=l,threshold=0.6,degree=32");
+  auto spec = pf_spec("dart:variant=l,threshold=0.6,degree=32");
   const std::string canonical = spec.canonical();
-  auto reparsed = sim::PrefetcherSpec::parse(canonical);
+  auto reparsed = pf_spec(canonical);
   EXPECT_EQ(reparsed.name(), spec.name());
   EXPECT_EQ(reparsed.canonical(), canonical);
   EXPECT_EQ(reparsed.get_string("variant", ""), "l");
@@ -44,16 +49,16 @@ TEST(PrefetcherSpec, CanonicalRoundTrips) {
 }
 
 TEST(PrefetcherSpec, RejectsMalformedValues) {
-  auto spec = sim::PrefetcherSpec::parse("stride:table=abc");
+  auto spec = pf_spec("stride:table=abc");
   EXPECT_THROW(spec.get_uint("table", 0), std::invalid_argument);
-  auto negative = sim::PrefetcherSpec::parse("nextline:degree=-1");
+  auto negative = pf_spec("nextline:degree=-1");
   EXPECT_THROW(negative.get_uint("degree", 0), std::invalid_argument);
-  EXPECT_THROW(sim::PrefetcherSpec::parse(":degree=2"), std::invalid_argument);
-  EXPECT_THROW(sim::PrefetcherSpec::parse("stride:=2"), std::invalid_argument);
+  EXPECT_THROW(pf_spec(":degree=2"), std::invalid_argument);
+  EXPECT_THROW(pf_spec("stride:=2"), std::invalid_argument);
 }
 
 TEST(PrefetcherSpec, TracksUnusedKeys) {
-  auto spec = sim::PrefetcherSpec::parse("stride:table=64,bogus=1");
+  auto spec = pf_spec("stride:table=64,bogus=1");
   spec.get_uint("table", 0);
   const auto unused = spec.unused_keys();
   ASSERT_EQ(unused.size(), 1u);
@@ -128,15 +133,15 @@ TEST(PrefetcherRegistry, KnowsAllLegacyNames) {
 }
 
 TEST(SplitSpecList, HandlesLegacyAndSpecLists) {
-  const auto legacy = sim::split_spec_list("BO,ISB,DART");
+  const auto legacy = common::split_spec_list("BO,ISB,DART");
   ASSERT_EQ(legacy.size(), 3u);
   EXPECT_EQ(legacy[1], "ISB");
-  const auto specs = sim::split_spec_list("stride:table=64,degree=2; dart:variant=l");
+  const auto specs = common::split_spec_list("stride:table=64,degree=2; dart:variant=l");
   ASSERT_EQ(specs.size(), 2u);
   EXPECT_EQ(specs[0], "stride:table=64,degree=2");
   EXPECT_EQ(specs[1], "dart:variant=l");
   // A single parameterized spec without separators stays whole.
-  const auto single = sim::split_spec_list("stride:table=64,degree=2");
+  const auto single = common::split_spec_list("stride:table=64,degree=2");
   ASSERT_EQ(single.size(), 1u);
 }
 

@@ -27,6 +27,7 @@
 #include "nn/tensor.hpp"
 #include "nn/transformer.hpp"
 #include "common/fault.hpp"
+#include "common/spec.hpp"
 #include "serve/server.hpp"
 #include "tabular/tabular_predictor.hpp"
 #include "tabular/tabularizer.hpp"
@@ -36,7 +37,7 @@ namespace {
 
 using common::FaultInjector;
 using common::fault_injector;
-using common::parse_fault_specs;
+using common::split_spec_list;
 
 nn::ModelConfig tiny_arch() {
   nn::ModelConfig a;
@@ -218,24 +219,33 @@ std::string temp_artifact(const char* name,
 // ---------------------------------------------------------------- grammar
 
 TEST(FaultSpec, ParsesClausesAndParams) {
-  EXPECT_TRUE(parse_fault_specs("").empty());
-  EXPECT_TRUE(parse_fault_specs(" ; ;").empty());
-  const auto specs =
-      parse_fault_specs("slow-shard:shard=1,us=5000; drop-wake:p=0.5,seed=42 ;stall-shard:shard=0");
-  ASSERT_EQ(specs.size(), 3u);
-  EXPECT_EQ(specs[0].kind, "slow-shard");
-  ASSERT_EQ(specs[0].params.size(), 2u);
-  EXPECT_EQ(specs[0].params[0].first, "shard");
-  EXPECT_EQ(specs[0].params[0].second, "1");
-  EXPECT_EQ(specs[1].kind, "drop-wake");
-  EXPECT_EQ(specs[1].params[1].second, "42");
-  EXPECT_EQ(specs[2].kind, "stall-shard");
+  EXPECT_TRUE(split_spec_list("").empty());
+  EXPECT_TRUE(split_spec_list(" ; ;").empty());
+  const std::string text =
+      "slow-shard:shard=1,us=5000; drop-wake:p=0.5,seed=42 ;stall-shard:shard=0";
+  const auto clauses = split_spec_list(text);
+  ASSERT_EQ(clauses.size(), 3u);
+  std::vector<common::Spec> specs;
+  for (const auto& c : clauses) specs.push_back(common::Spec::parse(c, common::kFaultGrammar));
+  EXPECT_EQ(specs[0].name(), "slow-shard");
+  ASSERT_EQ(specs[0].unused_keys().size(), 2u);  // every key, sorted
+  EXPECT_EQ(specs[0].unused_keys()[0], "shard");
+  EXPECT_EQ(specs[0].get_string("shard", ""), "1");
+  EXPECT_EQ(specs[1].name(), "drop-wake");
+  EXPECT_EQ(specs[1].get_string("seed", ""), "42");
+  EXPECT_EQ(specs[2].name(), "stall-shard");
+  FaultInjector inj;
+  inj.install(text);
+  EXPECT_TRUE(inj.armed());
 }
 
 TEST(FaultSpec, RejectsMalformedGrammar) {
-  EXPECT_THROW(parse_fault_specs("slow-shard:shard"), std::invalid_argument);   // not key=value
-  EXPECT_THROW(parse_fault_specs("slow-shard:=3"), std::invalid_argument);      // empty key
-  EXPECT_THROW(parse_fault_specs(":p=1"), std::invalid_argument);               // empty kind
+  FaultInjector inj;
+  EXPECT_THROW(inj.install("slow-shard:shard"), std::invalid_argument);       // not key=value
+  EXPECT_THROW(inj.install("slow-shard:shard,us=1"), std::invalid_argument);  // flag as number
+  EXPECT_THROW(inj.install("slow-shard:=3"), std::invalid_argument);          // empty key
+  EXPECT_THROW(inj.install(":p=1"), std::invalid_argument);                   // empty kind
+  EXPECT_FALSE(inj.armed());
 }
 
 TEST(FaultInjector, RejectsBadSpecsAndKeepsThePreviousPlanArmed) {

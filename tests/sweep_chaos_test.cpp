@@ -335,10 +335,11 @@ TEST_F(SweepChaosTest, CrashResumeMergedOutputByteIdentical) {
 
 TEST_F(SweepChaosTest, DartQuantKnobJoinsTheCellKey) {
   // A `dart` spec without quant= takes its table mode from DART_QUANT, so
-  // a resumed sweep under another mode must not reuse the stored cell.
+  // a resumed sweep under another mode must not reuse the stored cell. A
+  // rule-based cell cannot read the knob, so it is reused across modes.
   ExperimentSpec spec = tiny_grid();
   spec.workloads = {"trace:sequential,footprint=1M,stride=4"};
-  spec.prefetchers = {"dart"};
+  spec.prefetchers = {"BO", "dart"};
   spec.pipeline.teacher_arch.dim = 16;
   spec.pipeline.teacher_arch.ffn_dim = 32;
   spec.pipeline.teacher_train.epochs = 0;  // untrained: keying is under test
@@ -360,10 +361,11 @@ TEST_F(SweepChaosTest, DartQuantKnobJoinsTheCellKey) {
     ::unsetenv("DART_QUANT");
   }
 
-  EXPECT_EQ(float_run.count(CellStatus::kDone), 1u);
-  EXPECT_EQ(int8_run.count(CellStatus::kDone), 1u) << "int8 reused the float-table cell";
-  EXPECT_EQ(int8_run.count(CellStatus::kSkipped), 0u);
-  EXPECT_EQ(int8_resume.count(CellStatus::kSkipped), 1u);
+  EXPECT_EQ(float_run.count(CellStatus::kDone), 2u);
+  ASSERT_EQ(int8_run.cells.size(), 2u);
+  EXPECT_EQ(int8_run.cells[0].status, CellStatus::kSkipped) << "BO was re-simulated";
+  EXPECT_EQ(int8_run.cells[1].status, CellStatus::kDone) << "int8 reused the float-table cell";
+  EXPECT_EQ(int8_resume.count(CellStatus::kSkipped), 2u);
 }
 
 // ------------------------------------------------------------ sharded replay

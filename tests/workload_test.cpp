@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/spec.hpp"
 #include "io/bytes.hpp"
 #include "trace/generators.hpp"
 #include "trace/trace_file.hpp"
@@ -34,28 +35,33 @@ std::uint64_t hash_of(const std::string& spec) {
 
 // ------------------------------------------------------------- spec grammar
 
+/// A synthetic family spec, the text after `trace:`.
+common::Spec family_spec(const std::string& text) {
+  return common::Spec::parse(text, common::kWorkloadGrammar);
+}
+
 TEST(WorkloadSpec, ParsesKeyValuesAndCanonicalizes) {
-  WorkloadSpec spec = WorkloadSpec::parse("zipfian,theta=0.9,footprint=1G");
-  EXPECT_EQ(spec.family(), "zipfian");
+  common::Spec spec = family_spec("zipfian,theta=0.9,footprint=1G");
+  EXPECT_EQ(spec.name(), "zipfian");
   EXPECT_EQ(spec.get_double("theta", 0.0), 0.9);
-  EXPECT_EQ(spec.get_size("footprint", 0), 1ULL << 30);
+  EXPECT_EQ(spec.get_uint("footprint", 0), 1ULL << 30);
   // Canonical form sorts keys (raw value strings preserved) and
   // round-trips through parse.
   EXPECT_EQ(spec.canonical(), "zipfian,footprint=1G,theta=0.9");
 }
 
 TEST(WorkloadSpec, SizeSuffixes) {
-  WorkloadSpec spec = WorkloadSpec::parse("x,a=64K,b=3M,c=2G,d=123");
-  EXPECT_EQ(spec.get_size("a", 0), 64ULL << 10);
-  EXPECT_EQ(spec.get_size("b", 0), 3ULL << 20);
-  EXPECT_EQ(spec.get_size("c", 0), 2ULL << 30);
-  EXPECT_EQ(spec.get_size("d", 0), 123ULL);
+  common::Spec spec = family_spec("x,a=64K,b=3M,c=2G,d=123");
+  EXPECT_EQ(spec.get_uint("a", 0), 64ULL << 10);
+  EXPECT_EQ(spec.get_uint("b", 0), 3ULL << 20);
+  EXPECT_EQ(spec.get_uint("c", 0), 2ULL << 30);
+  EXPECT_EQ(spec.get_uint("d", 0), 123ULL);
 }
 
 TEST(WorkloadSpec, RejectsMalformedInput) {
-  EXPECT_THROW(WorkloadSpec::parse(""), std::invalid_argument);
-  EXPECT_THROW(WorkloadSpec::parse(",theta=0.9"), std::invalid_argument);
-  EXPECT_THROW(WorkloadSpec::parse("zipfian,=0.9"), std::invalid_argument);
+  EXPECT_THROW(family_spec(""), std::invalid_argument);
+  EXPECT_THROW(family_spec(",theta=0.9"), std::invalid_argument);
+  EXPECT_THROW(family_spec("zipfian,=0.9"), std::invalid_argument);
   EXPECT_THROW(Workload::parse("trace:zipfian,theta=abc"), std::invalid_argument);
 }
 

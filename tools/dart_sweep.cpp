@@ -21,6 +21,7 @@
 //   --backoff-ms N     doubling retry backoff base   (DART_SWEEP_BACKOFF_MS)
 //   --shards N         trace shards per cell replay  (DART_SWEEP_SHARDS)
 //   --warmup N         shard warmup accesses; -1=full(DART_SWEEP_WARMUP)
+// Numeric flags take unsigned integers (optional K/M/G suffix).
 //   --sequential       run cells in grid order (deterministic commit order,
 //                      the mode the resume CI job uses)
 //   --compact          rewrite the store log to one record per cell at exit
@@ -30,14 +31,20 @@
 //
 // Exit codes: 0 = every cell completed (or was reused), 3 = the sweep
 // finished but quarantined at least one cell (results partial, loudly), 17
-// (common::kCrashExitCode) = an injected hard crash fired, 1 = crash/error.
+// (common::kCrashExitCode) = an injected hard crash fired, 2 = bad arguments
+// (a malformed flag value or spec string, or an invalid DART_FAULT),
+// 1 = crash/error.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "common/env.hpp"
 #include "common/fault.hpp"
+#include "common/spec.hpp"
 #include "core/experiment.hpp"
 #include "core/result_store.hpp"
 #include "sim/registry.hpp"
@@ -57,74 +64,76 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// A checked unsigned flag value (common::parse_uint: digits, optional
+/// K/M/G suffix, no sign); throws std::invalid_argument naming the flag.
+std::uint64_t uint_flag(const std::string& flag, const char* v,
+                        std::uint64_t max = ~std::uint64_t{0}) {
+  const std::optional<std::uint64_t> parsed = common::parse_uint(v);
+  if (!parsed || *parsed > max) {
+    const std::string bound = max == ~std::uint64_t{0} ? "" : " up to " + std::to_string(max);
+    throw std::invalid_argument(flag + " expects an unsigned integer" + bound + ", got '" + v +
+                                "'");
+  }
+  return *parsed;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  core::ExperimentSpec spec = core::ExperimentSpec::bench_defaults();
-  spec.sweep = core::SweepOptions::from_env();
+  core::ExperimentSpec spec;
   std::string csv_path;
   std::string json_path;
   bool compact = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    if (arg == "--store") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      spec.sweep.store_dir = v;
-    } else if (arg == "--workloads") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      spec.workloads.clear();
-      for (const trace::Workload& w : trace::parse_workload_list(v)) {
-        spec.workloads.push_back(w.spec());
+  // Bad arguments, bad spec strings included, end here with exit code 2.
+  try {
+    spec = core::ExperimentSpec::bench_defaults();
+    spec.sweep = core::SweepOptions::from_env();
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto value = [&]() -> const char* {
+        if (i + 1 >= argc) throw std::invalid_argument(arg + " needs a value");
+        return argv[++i];
+      };
+      if (arg == "--store") {
+        spec.sweep.store_dir = value();
+      } else if (arg == "--workloads") {
+        spec.workloads.clear();
+        for (const trace::Workload& w : trace::parse_workload_list(value())) {
+          spec.workloads.push_back(w.spec());
+        }
+      } else if (arg == "--prefetchers") {
+        spec.prefetchers = common::split_spec_list(value());
+      } else if (arg == "--csv") {
+        csv_path = value();
+      } else if (arg == "--json") {
+        json_path = value();
+      } else if (arg == "--timeout-ms") {
+        spec.sweep.cell_timeout_ms = uint_flag(arg, value());
+      } else if (arg == "--retries") {
+        spec.sweep.cell_retries = static_cast<std::uint32_t>(uint_flag(arg, value(), UINT32_MAX));
+      } else if (arg == "--backoff-ms") {
+        spec.sweep.backoff_ms = uint_flag(arg, value());
+      } else if (arg == "--shards") {
+        spec.sweep.trace_shards = std::max<std::size_t>(1, uint_flag(arg, value()));
+      } else if (arg == "--warmup") {
+        const char* v = value();
+        spec.sweep.shard_warmup = std::string(v) == "-1" ? sim::kFullWarmup : uint_flag(arg, v);
+      } else if (arg == "--sequential") {
+        spec.parallel = false;
+      } else if (arg == "--compact") {
+        compact = true;
+      } else {
+        std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
+        return usage(argv[0]);
       }
-    } else if (arg == "--prefetchers") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      spec.prefetchers = sim::split_spec_list(v);
-    } else if (arg == "--csv") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      csv_path = v;
-    } else if (arg == "--json") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      json_path = v;
-    } else if (arg == "--timeout-ms") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      spec.sweep.cell_timeout_ms = static_cast<std::uint64_t>(std::strtoull(v, nullptr, 10));
-    } else if (arg == "--retries") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      spec.sweep.cell_retries = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
-    } else if (arg == "--backoff-ms") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      spec.sweep.backoff_ms = static_cast<std::uint64_t>(std::strtoull(v, nullptr, 10));
-    } else if (arg == "--shards") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      spec.sweep.trace_shards = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-      if (spec.sweep.trace_shards == 0) spec.sweep.trace_shards = 1;
-    } else if (arg == "--warmup") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      const long long w = std::strtoll(v, nullptr, 10);
-      spec.sweep.shard_warmup = w < 0 ? sim::kFullWarmup : static_cast<std::size_t>(w);
-    } else if (arg == "--sequential") {
-      spec.parallel = false;
-    } else if (arg == "--compact") {
-      compact = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return usage(argv[0]);
     }
+    for (const std::string& p : spec.prefetchers) {
+      sim::PrefetcherRegistry::instance().validate(p);
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
 
   // Arm the deterministic fault injector before any sweep work, mirroring
