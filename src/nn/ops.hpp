@@ -9,6 +9,15 @@
 
 namespace dart::nn::ops {
 
+/// The three products keep one pinned rounding (DESIGN.md §6 "Training
+/// kernels"): each output element starts from +0.0f and takes its terms in
+/// index order. matmul and matmul_tn fuse every term
+/// (common::madd); matmul_nt rounds the products of its first 4*floor(k/4)
+/// terms on their own (common::mul_rounded) and fuses the last k mod 4.
+/// With AVX2 the output columns sit in the SIMD lanes under 4-row register
+/// tiles; the `_reference` functions are the scalar twins (the path of
+/// builds without AVX2, and of the last n mod 8 columns), bit-identical.
+
 /// C[m,n] = A[m,k] * B[k,n]. C is overwritten.
 void matmul(const Tensor& a, const Tensor& b, Tensor& c);
 
@@ -17,6 +26,10 @@ void matmul_nt(const Tensor& a, const Tensor& b, Tensor& c);
 
 /// C[k,n] = A[m,k]^T * B[m,n].
 void matmul_tn(const Tensor& a, const Tensor& b, Tensor& c);
+
+void matmul_reference(const Tensor& a, const Tensor& b, Tensor& c);
+void matmul_nt_reference(const Tensor& a, const Tensor& b, Tensor& c);
+void matmul_tn_reference(const Tensor& a, const Tensor& b, Tensor& c);
 
 /// y = x * W^T + b applied to every row of x: x[m, din], W[dout, din],
 /// b[dout], y[m, dout]. This is the paper's Linear (Eq. 1) with the batch

@@ -52,12 +52,23 @@ std::uint32_t ExactEncoder::nearest(const float* row, std::size_t elem_stride) c
   return best;
 }
 
+namespace {
+/// Depth of the full heap with at least k leaves, k checked first.
+std::size_t tree_depth(std::size_t k) {
+  if (k > HashTreeEncoder::kMaxPrototypes) {
+    throw std::invalid_argument("HashTreeEncoder: more than 2^31 prototypes");
+  }
+  std::size_t depth = 0;
+  while ((std::size_t{1} << depth) < k) ++depth;
+  return depth;
+}
+}  // namespace
+
 HashTreeEncoder::HashTreeEncoder(const nn::Tensor& prototypes) {
   if (prototypes.ndim() != 2) throw std::invalid_argument("HashTreeEncoder: prototypes must be 2-D");
   k_ = prototypes.dim(0);
   v_ = prototypes.dim(1);
-  depth_ = 0;
-  while ((1ULL << depth_) < k_) ++depth_;
+  depth_ = tree_depth(k_);
   // Full heap with 2^depth leaves.
   const std::size_t node_count = (1ULL << (depth_ + 1)) - 1;
   hot_.assign(node_count, HotNode{});
@@ -72,7 +83,7 @@ HashTreeEncoder::HashTreeEncoder(std::vector<HotNode> nodes, std::vector<std::in
                                  std::size_t k, std::size_t v)
     : hot_(std::move(nodes)), protos_(std::move(leaves)), k_(k), v_(v) {
   if (k_ == 0 || v_ == 0) throw std::invalid_argument("HashTreeEncoder: empty tree");
-  while ((1ULL << depth_) < k_) ++depth_;
+  depth_ = tree_depth(k_);
   const std::size_t node_count = (1ULL << (depth_ + 1)) - 1;
   if (hot_.size() != node_count || protos_.size() != node_count) {
     throw std::invalid_argument("HashTreeEncoder: node arrays do not match prototype count");

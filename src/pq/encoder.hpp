@@ -103,11 +103,17 @@ class HashTreeEncoder final : public Encoder {
     float threshold = 0.0f;
   };
 
+  /// Largest prototype count a tree may have: leaf ids are int32. Both
+  /// constructors throw std::invalid_argument above it, before sizing the
+  /// heap (whose depth loop would shift past 64 bits for k > 2^63).
+  static constexpr std::size_t kMaxPrototypes = std::size_t{1} << 31;
+
   explicit HashTreeEncoder(const nn::Tensor& prototypes);
 
   /// Deserialization constructor: adopts a previously built tree (the
   /// `nodes()` / `leaves()` arrays) verbatim. `k`/`v` are the prototype
-  /// count and input width. Validates the heap invariants — array sizes,
+  /// count and input width. Validates `k` against kMaxPrototypes and the
+  /// heap invariants — array sizes,
   /// `split_dim < v`, leaf ids in [0, k), and that every root-to-leaf walk
   /// terminates inside the arrays — and throws std::invalid_argument on any
   /// violation, so a corrupted artifact cannot produce an encoder whose

@@ -13,21 +13,13 @@ ProductQuantizer::ProductQuantizer(const nn::Tensor& training, const PqConfig& c
   if (dim_ % config.num_subspaces != 0) {
     throw std::invalid_argument("ProductQuantizer: D must be divisible by C");
   }
-  const std::size_t n = training.dim(0);
   const std::size_t v = sub_dim();
   prototypes_.reserve(config.num_subspaces);
   encoders_.reserve(config.num_subspaces);
   for (std::size_t c = 0; c < config.num_subspaces; ++c) {
-    // Slice subspace c out of the training matrix.
-    nn::Tensor sub({n, v});
-    for (std::size_t i = 0; i < n; ++i) {
-      const float* src = training.row(i) + c * v;
-      float* dst = sub.row(i);
-      std::copy(src, src + v, dst);
-    }
     KMeansOptions km = config.kmeans;
     km.seed = common::derive_seed(config.kmeans.seed, c);
-    KMeansResult res = kmeans(sub, config.num_prototypes, km);
+    KMeansResult res = kmeans(columns(training, c * v, v), config.num_prototypes, km);
     encoders_.push_back(make_encoder(config.encoder, res.centroids));
     prototypes_.push_back(std::move(res.centroids));
   }

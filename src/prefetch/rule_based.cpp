@@ -1,6 +1,8 @@
 #include "prefetch/rule_based.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "sim/registry.hpp"
 
@@ -199,6 +201,25 @@ std::size_t IsbPrefetcher::storage_bytes() const {
 
 namespace dart::sim {
 
+namespace {
+/// An unsigned spec value in [lo, hi] (prefetch::kMax* above).
+std::uint64_t get_bounded(common::Spec& spec, const char* key, std::uint64_t fallback,
+                          std::uint64_t lo, std::uint64_t hi) {
+  const std::uint64_t v = spec.get_uint(key, fallback);
+  if (v < lo || v > hi) {
+    spec.fail(std::string(key) + "=" + std::to_string(v) + " is outside [" + std::to_string(lo) +
+              ", " + std::to_string(hi) + "]");
+  }
+  return v;
+}
+
+/// An unsigned spec value for an `int` field.
+int get_int(common::Spec& spec, const char* key, int fallback) {
+  return static_cast<int>(get_bounded(spec, key, static_cast<std::uint64_t>(fallback), 0,
+                                      std::numeric_limits<int>::max()));
+}
+}  // namespace
+
 void register_rule_based_prefetchers(PrefetcherRegistry& registry) {
   using prefetch::BestOffsetPrefetcher;
   using prefetch::IsbPrefetcher;
@@ -209,23 +230,23 @@ void register_rule_based_prefetchers(PrefetcherRegistry& registry) {
     return std::make_unique<NextLinePrefetcher>(spec.get_uint("degree", 2));
   });
   registry.add("stride", [](common::Spec& spec, PrefetcherContext&) {
-    return std::make_unique<StridePrefetcher>(spec.get_uint("table", 256),
-                                              spec.get_uint("degree", 2));
+    const std::size_t table = get_bounded(spec, "table", 256, 1, prefetch::kMaxTableEntries);
+    return std::make_unique<StridePrefetcher>(table, spec.get_uint("degree", 2));
   });
   registry.add("bo", [](common::Spec& spec, PrefetcherContext&) {
     BestOffsetPrefetcher::Options o;
-    o.rr_entries = spec.get_uint("rr", o.rr_entries);
-    o.score_max = static_cast<int>(spec.get_uint("score_max", o.score_max));
-    o.round_max = static_cast<int>(spec.get_uint("round_max", o.round_max));
-    o.bad_score = static_cast<int>(spec.get_uint("bad_score", o.bad_score));
-    o.max_offset = spec.get_uint("max_offset", o.max_offset);
+    o.rr_entries = get_bounded(spec, "rr", o.rr_entries, 1, prefetch::kMaxTableEntries);
+    o.score_max = get_int(spec, "score_max", o.score_max);
+    o.round_max = get_int(spec, "round_max", o.round_max);
+    o.bad_score = get_int(spec, "bad_score", o.bad_score);
+    o.max_offset = get_bounded(spec, "max_offset", o.max_offset, 1, prefetch::kMaxBoOffset);
     o.degree = spec.get_uint("degree", o.degree);
     o.latency = spec.get_uint("latency", o.latency);
     return std::make_unique<BestOffsetPrefetcher>(o);
   });
   registry.add("isb", [](common::Spec& spec, PrefetcherContext&) {
     IsbPrefetcher::Options o;
-    o.max_mappings = spec.get_uint("mappings", o.max_mappings);
+    o.max_mappings = get_bounded(spec, "mappings", o.max_mappings, 0, prefetch::kMaxIsbMappings);
     o.degree = spec.get_uint("degree", o.degree);
     o.stream_granularity = spec.get_uint("granularity", o.stream_granularity);
     o.latency = spec.get_uint("latency", o.latency);

@@ -29,6 +29,18 @@ class NextLinePrefetcher final : public sim::Prefetcher {
   std::size_t degree_;
 };
 
+/// Upper bounds the registry factories enforce on spec values (every
+/// rejection a std::invalid_argument through common::Spec::fail), so that
+/// no single spec can allocate or loop without limit. Tables allocated up
+/// front — `stride:table=`, `bo:rr=` — hold 1 to 2^20 entries;
+/// `bo:max_offset=` is 1 to 2^16 (the BO constructor walks every offset
+/// up to it); `isb:mappings=` is at most 2^24. `bo:score_max=`,
+/// `round_max=` and `bad_score=` fill `int` fields and so are at most
+/// INT_MAX.
+inline constexpr std::size_t kMaxTableEntries = std::size_t{1} << 20;
+inline constexpr std::size_t kMaxBoOffset = std::size_t{1} << 16;
+inline constexpr std::size_t kMaxIsbMappings = std::size_t{1} << 24;
+
 class StridePrefetcher final : public sim::Prefetcher {
  public:
   explicit StridePrefetcher(std::size_t table_entries = 256, std::size_t degree = 2);

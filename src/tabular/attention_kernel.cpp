@@ -17,17 +17,6 @@ namespace dart::tabular {
 
 namespace {
 
-/// Slices subspace `c` (width `sub`) out of [M, D] rows.
-nn::Tensor slice_subspace(const nn::Tensor& rows, std::size_t c, std::size_t sub) {
-  const std::size_t m = rows.dim(0);
-  nn::Tensor out({m, sub});
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* src = rows.row(i) + c * sub;
-    std::copy(src, src + sub, out.row(i));
-  }
-  return out;
-}
-
 /// Pairwise prototype dot products over one subspace: table[i*K+j] = A_i·B_j.
 void pairwise_dot(const nn::Tensor& a, const nn::Tensor& b, float* table) {
   const std::size_t k = a.dim(0), v = a.dim(1);
@@ -114,9 +103,9 @@ AttentionKernel::AttentionKernel(const nn::Tensor& q, const nn::Tensor& k, const
     pq::KMeansOptions km;
     km.max_iters = config_.kmeans_iters;
     km.seed = common::derive_seed(config_.seed, 100 + c);
-    auto rq = pq::kmeans(slice_subspace(q_rows, c, sub_dk_), kp, km);
+    auto rq = pq::kmeans(pq::columns(q_rows, c * sub_dk_, sub_dk_), kp, km);
     km.seed = common::derive_seed(config_.seed, 200 + c);
-    auto rk = pq::kmeans(slice_subspace(k_rows, c, sub_dk_), kp, km);
+    auto rk = pq::kmeans(pq::columns(k_rows, c * sub_dk_, sub_dk_), kp, km);
     pairwise_dot(rq.centroids, rk.centroids, qk_table_.data() + c * kp * kp);
     q_encoders_[c] = pq::make_encoder(config_.encoder, rq.centroids);
     k_encoders_[c] = pq::make_encoder(config_.encoder, rk.centroids);
@@ -176,9 +165,9 @@ AttentionKernel::AttentionKernel(const nn::Tensor& q, const nn::Tensor& k, const
     pq::KMeansOptions km;
     km.max_iters = config_.kmeans_iters;
     km.seed = common::derive_seed(config_.seed, 300 + c);
-    auto rs = pq::kmeans(slice_subspace(score_rows, c, sub_t_), kp, km);
+    auto rs = pq::kmeans(pq::columns(score_rows, c * sub_t_, sub_t_), kp, km);
     km.seed = common::derive_seed(config_.seed, 400 + c);
-    auto rv = pq::kmeans(slice_subspace(v_cols, c, sub_t_), kp, km);
+    auto rv = pq::kmeans(pq::columns(v_cols, c * sub_t_, sub_t_), kp, km);
     // Fold scaling + activation into the score prototypes (Eq. 14); in the
     // softmax mode the scores were already activated above, so the
     // prototypes are used as-is.

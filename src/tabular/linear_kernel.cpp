@@ -6,7 +6,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "pq/kmeans.hpp"
-#include "tabular/madd.hpp"
+#include "common/madd.hpp"
 
 namespace dart::tabular {
 
@@ -22,7 +22,6 @@ LinearKernel::LinearKernel(const nn::Tensor& weight, const nn::Tensor& bias,
   sub_dim_ = in_dim_ / config.num_subspaces;
   const std::size_t k = config.num_prototypes;
   const std::size_t c_count = config.num_subspaces;
-  const std::size_t m = training_rows.dim(0);
 
   table_.assign(c_count * k * out_dim_, 0.0f);
   encoders_.resize(c_count);
@@ -31,15 +30,10 @@ LinearKernel::LinearKernel(const nn::Tensor& weight, const nn::Tensor& bias,
   // Subspaces are independent — parallelize across them. Each subspace owns
   // the disjoint table block [c*K*DO, (c+1)*K*DO).
   common::parallel_for_each(c_count, [&](std::size_t c) {
-    nn::Tensor sub({m, sub_dim_});
-    for (std::size_t i = 0; i < m; ++i) {
-      const float* src = training_rows.row(i) + c * sub_dim_;
-      std::copy(src, src + sub_dim_, sub.row(i));
-    }
     pq::KMeansOptions km;
     km.max_iters = config_.kmeans_iters;
     km.seed = common::derive_seed(config_.seed, c);
-    pq::KMeansResult res = pq::kmeans(sub, k, km);
+    pq::KMeansResult res = pq::kmeans(pq::columns(training_rows, c * sub_dim_, sub_dim_), k, km);
     // h^c_o(W)_k = W_o,c · P_ck  (+ bias folded into subspace 0).
     for (std::size_t kk = 0; kk < k; ++kk) {
       const float* proto = res.centroids.row(kk);
@@ -162,7 +156,7 @@ void LinearKernel::query_pooled_into(const float* rows, std::size_t groups,
       } else {
         aggregate_row(codes, i, n, row);
       }
-      for (std::size_t o = 0; o < out_dim_; ++o) acc[o] = madd(r[o], scale, acc[o]);
+      for (std::size_t o = 0; o < out_dim_; ++o) acc[o] = common::madd(r[o], scale, acc[o]);
     }
   }
   ws.rewind(m);

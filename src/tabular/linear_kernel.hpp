@@ -68,7 +68,7 @@ class LinearKernel {
   /// Zero-allocation pooled query: the rows form `groups` groups of
   /// `group_rows` consecutive rows, and group g's DO outputs at
   /// `out + g * DO` start at 0 and accumulate `madd(row, scale, acc)`
-  /// (madd.hpp) over `query_into`'s output rows of the group, in order —
+  /// (common/madd.hpp) over `query_into`'s output rows of the group, in order —
   /// the predictor's mean pool, without a buffer of per-row outputs.
   /// Serial; scratch comes from `ws`.
   void query_pooled_into(const float* rows, std::size_t groups, std::size_t group_rows,

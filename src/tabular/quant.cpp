@@ -9,7 +9,7 @@
 #include <immintrin.h>
 #endif
 
-#include "tabular/madd.hpp"
+#include "common/madd.hpp"
 
 namespace dart::tabular {
 
@@ -30,7 +30,9 @@ int quant_cap(QuantMode mode, std::size_t c, std::size_t k) {
 // One dequantization step: y = s * acc + z. The SIMD paths use fused
 // multiply-add where the ISA has it, so the scalar twin rounds identically
 // through madd (one rounding with FMA, mul+add without).
-inline float dequant1(float s, int acc, float z) { return madd(s, static_cast<float>(acc), z); }
+inline float dequant1(float s, int acc, float z) {
+  return common::madd(s, static_cast<float>(acc), z);
+}
 
 inline int sat16(int v) { return std::clamp(v, -32768, 32767); }
 inline int sat8(int v) { return std::clamp(v, -128, 127); }
@@ -111,11 +113,7 @@ void rows16_avx2(const QuantizedTable& qt, const std::uint32_t* codes, std::size
       __m256 f = _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(acc));
       __m256 s = _mm256_loadu_ps(qt.scales.data() + o);
       __m256 z = _mm256_loadu_ps(qt.offsets.data() + o);
-#if defined(__FMA__)
-      _mm256_storeu_ps(orow + o, _mm256_fmadd_ps(s, f, z));
-#else
-      _mm256_storeu_ps(orow + o, _mm256_add_ps(_mm256_mul_ps(s, f), z));
-#endif
+      _mm256_storeu_ps(orow + o, common::madd(s, f, z));
     }
     for (std::size_t o = d8; o < dout; ++o) {
       int acc = r0[o];
@@ -147,11 +145,7 @@ void rows8_avx2(const QuantizedTable& qt, const std::uint32_t* codes, std::size_
       __m256 f = _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(acc));
       __m256 s = _mm256_loadu_ps(qt.scales.data() + o);
       __m256 z = _mm256_loadu_ps(qt.offsets.data() + o);
-#if defined(__FMA__)
-      _mm256_storeu_ps(orow + o, _mm256_fmadd_ps(s, f, z));
-#else
-      _mm256_storeu_ps(orow + o, _mm256_add_ps(_mm256_mul_ps(s, f), z));
-#endif
+      _mm256_storeu_ps(orow + o, common::madd(s, f, z));
     }
     for (std::size_t o = d8; o < dout; ++o) {
       int acc = r0[o];

@@ -9,7 +9,7 @@
 #endif
 
 #include "common/thread_pool.hpp"
-#include "tabular/madd.hpp"
+#include "common/madd.hpp"
 
 namespace dart::tabular {
 
@@ -41,21 +41,6 @@ void LnParams::apply_into(const float* x, float* y, std::size_t m) const {
   const float* b = beta.data();
   const std::size_t d4 = d - d % 4;
   const std::size_t d8 = d - d % 8;
-  // a * b + c per lane, fused where the twin's madd is (madd.hpp).
-  auto madd4 = [](__m128 a, __m128 b, __m128 c) {
-#if defined(__FMA__)
-    return _mm_fmadd_ps(a, b, c);
-#else
-    return _mm_add_ps(_mm_mul_ps(a, b), c);
-#endif
-  };
-  auto madd8 = [](__m256 a, __m256 b, __m256 c) {
-#if defined(__FMA__)
-    return _mm256_fmadd_ps(a, b, c);
-#else
-    return _mm256_add_ps(_mm256_mul_ps(a, b), c);
-#endif
-  };
   // (l0 + l1) + (l2 + l3) of a 4-lane accumulator: the scalar twin's
   // pairing, operands in the same order.
   auto pair_sum = [](__m128 acc) {
@@ -76,12 +61,12 @@ void LnParams::apply_into(const float* x, float* y, std::size_t m) const {
     acc = _mm_setzero_ps();
     for (std::size_t j = 0; j < d4; j += 4) {
       const __m128 diff = _mm_sub_ps(_mm_loadu_ps(row + j), mean4);
-      acc = madd4(diff, diff, acc);
+      acc = common::madd(diff, diff, acc);
     }
     float var = pair_sum(acc);
     for (std::size_t j = d4; j < d; ++j) {
       const float diff = row[j] - mean;
-      var = madd(diff, diff, var);
+      var = common::madd(diff, diff, var);
     }
     var /= static_cast<float>(d);
     const float inv = 1.0f / std::sqrt(var + eps);
@@ -89,10 +74,12 @@ void LnParams::apply_into(const float* x, float* y, std::size_t m) const {
     const __m256 inv8 = _mm256_set1_ps(inv);
     for (std::size_t j = 0; j < d8; j += 8) {
       const __m256 centered = _mm256_sub_ps(_mm256_loadu_ps(row + j), mean8);
-      _mm256_storeu_ps(yrow + j, madd8(_mm256_mul_ps(centered, inv8), _mm256_loadu_ps(g + j),
-                                       _mm256_loadu_ps(b + j)));
+      _mm256_storeu_ps(yrow + j, common::madd(_mm256_mul_ps(centered, inv8),
+                                              _mm256_loadu_ps(g + j), _mm256_loadu_ps(b + j)));
     }
-    for (std::size_t j = d8; j < d; ++j) yrow[j] = madd((row[j] - mean) * inv, g[j], b[j]);
+    for (std::size_t j = d8; j < d; ++j) {
+      yrow[j] = common::madd((row[j] - mean) * inv, g[j], b[j]);
+    }
   }
 #else
   apply_into_reference(x, y, m);
@@ -125,20 +112,20 @@ void LnParams::apply_into_reference(const float* x, float* y, std::size_t m) con
     for (; j + 4 <= d; j += 4) {
       const float d0 = row[j] - mean, d1 = row[j + 1] - mean;
       const float d2 = row[j + 2] - mean, d3 = row[j + 3] - mean;
-      v0 = madd(d0, d0, v0);
-      v1 = madd(d1, d1, v1);
-      v2 = madd(d2, d2, v2);
-      v3 = madd(d3, d3, v3);
+      v0 = common::madd(d0, d0, v0);
+      v1 = common::madd(d1, d1, v1);
+      v2 = common::madd(d2, d2, v2);
+      v3 = common::madd(d3, d3, v3);
     }
     float var = (v0 + v1) + (v2 + v3);
     for (; j < d; ++j) {
       const float diff = row[j] - mean;
-      var = madd(diff, diff, var);
+      var = common::madd(diff, diff, var);
     }
     var /= static_cast<float>(d);
     const float inv = 1.0f / std::sqrt(var + eps);
     for (std::size_t jj = 0; jj < d; ++jj) {
-      yrow[jj] = madd((row[jj] - mean) * inv, g[jj], b[jj]);
+      yrow[jj] = common::madd((row[jj] - mean) * inv, g[jj], b[jj]);
     }
   }
 }

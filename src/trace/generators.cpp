@@ -237,10 +237,8 @@ std::string app_name(App app) {
 App app_from_name(const std::string& name) {
   for (App app : all_apps()) {
     const std::string full = app_name(app);
-    if (name == full || full.find("." + name) != std::string::npos ||
-        full.substr(4) == name) {
-      return app;
-    }
+    const std::size_t dot = full.find('.');
+    if (name == full || name == full.substr(dot + 1) || name == full.substr(0, dot)) return app;
   }
   throw std::invalid_argument("unknown app: " + name);
 }

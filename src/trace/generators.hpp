@@ -34,7 +34,9 @@ const std::vector<App>& all_apps();
 /// Paper-style display name, e.g. "410.bwaves".
 std::string app_name(App app);
 
-/// Parses "410.bwaves" / "bwaves" etc.; throws on unknown names.
+/// Parses an app by its full name ("410.bwaves"), the exact name after the
+/// number ("bwaves") or the number ("410"); throws std::invalid_argument
+/// on anything else, a prefix or substring of a name included.
 App app_from_name(const std::string& name);
 
 /// Generates `n` LLC accesses for `app`, deterministically for a seed.

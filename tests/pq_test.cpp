@@ -2,7 +2,11 @@
 // classic PQ train/query path of §II-B.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "pq/encoder.hpp"
 #include "pq/kmeans.hpp"
@@ -63,8 +67,151 @@ TEST(KMeans, HandlesFewerRowsThanCentroids) {
 TEST(KMeans, RejectsBadInput) {
   nn::Tensor bad({2, 2, 2});
   EXPECT_THROW(kmeans(bad, 2), std::invalid_argument);
+  EXPECT_THROW(columns(bad, 0, 1), std::invalid_argument);
   nn::Tensor ok({4, 2});
   EXPECT_THROW(kmeans(ok, 0), std::invalid_argument);
+  EXPECT_THROW(columns(ok, 1, 2), std::invalid_argument);
+  EXPECT_THROW(columns(ok, 3, 0), std::invalid_argument);
+}
+
+TEST(KMeans, ColumnSliceMatchesCopiedColumns) {
+  const nn::Tensor wide = clustered_data(203, 7, 5, 9);
+  nn::Tensor copy({203, 3});
+  for (std::size_t i = 0; i < 203; ++i) std::copy(wide.row(i) + 2, wide.row(i) + 5, copy.row(i));
+  const KMeansResult a = kmeans(columns(wide, 2, 3), 5, {10, 1e-6, 4});
+  const KMeansResult b = kmeans(copy, 5, {10, 1e-6, 4});
+  EXPECT_EQ(a.assignment, b.assignment);
+  EXPECT_EQ(std::memcmp(a.centroids.data(), b.centroids.data(), 5 * 3 * sizeof(float)), 0);
+}
+
+// ---- bit-exact distance kernels (DESIGN.md §6 "Training kernels") ---------
+
+// The rounding contract spelled out without common/madd.hpp: a volatile
+// store rounds a product on its own, std::fmaf fuses where the build has
+// FMA (without FMA every product rounds on its own).
+float rounded_product(float a, float b) {
+  volatile float p = a * b;
+  return p;
+}
+
+float fused(float a, float b, float c) {
+#if defined(__FMA__)
+  return std::fmaf(a, b, c);
+#else
+  return rounded_product(a, b) + c;
+#endif
+}
+
+/// |x - c|^2 from +0.0f in element order: the first 4*floor(v/4) squares
+/// round on their own, the last v mod 4 are fused.
+float contract_sq_dist(const float* x, const float* c, std::size_t v) {
+  float acc = 0.0f;
+  for (std::size_t t = 0; t < v; ++t) {
+    const float d = x[t] - c[t];
+    acc = t < v - v % 4 ? acc + rounded_product(d, d) : fused(d, d, acc);
+  }
+  return acc;
+}
+
+bool same_bits(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+/// Rows and centroids that reach the kernels' edge cases: values over six
+/// binary orders of magnitude, centroid 1 a duplicate of centroid 0 (ties),
+/// rows equal to a centroid but with -0.0 where it has +0.0 (zero
+/// distances), and a NaN in one row (every distance NaN).
+struct DistanceCase {
+  nn::Tensor data, centroids;
+  DistanceCase(std::size_t n, std::size_t k, std::size_t v, std::uint64_t seed)
+      : data(nn::Tensor::randn({n, v}, 1.0f, seed)),
+        centroids(nn::Tensor::randn({k, v}, 1.0f, seed + 1)) {
+    for (std::size_t i = 0; i < data.numel(); ++i) {
+      data[i] = std::ldexp(data[i], static_cast<int>(i % 7) - 3);
+    }
+    centroids.at(0, 0) = 0.0f;
+    if (k > 1) std::copy(centroids.row(0), centroids.row(0) + v, centroids.row(1));
+    for (std::size_t i = 0; i < n; i += 3) {
+      std::copy(centroids.row(i % k), centroids.row(i % k) + v, data.row(i));
+      if (i % k < 2) data.at(i, 0) = -0.0f;
+    }
+    if (n > 4) data.at(4, v - 1) = std::numeric_limits<float>::quiet_NaN();
+  }
+};
+
+class DistanceTwins : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+// v covers v mod 4 in {0,1,2,3} and v < 4; n covers n mod 8 != 0 and more
+// than one 4-group tile; k covers odd counts; and 1x1x1.
+TEST_P(DistanceTwins, SimdAndScalarMatchTheRoundingContractBitwise) {
+  const auto [ni, ki, vi] = GetParam();
+  const std::size_t n = ni, k = ki, v = vi;
+  const DistanceCase dc(n, k, v, 20 + n + k + v);
+  // The panel reads the rows in place from inside a wider matrix.
+  nn::Tensor wide({n, v + 3});
+  for (std::size_t i = 0; i < n; ++i) {
+    std::copy(dc.data.row(i), dc.data.row(i) + v, wide.row(i) + 2);
+  }
+  const RowPanel rows(columns(wide, 2, v));
+
+  // Assignment: strict < in centroid order from FLT_MAX.
+  std::vector<std::uint32_t> want_a(n, 0), simd_a(n), scalar_a(n);
+  std::vector<float> want_d(n, std::numeric_limits<float>::max()), simd_d(n), scalar_d(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c < k; ++c) {
+      const float d = contract_sq_dist(dc.data.row(i), dc.centroids.row(c), v);
+      if (d < want_d[i]) {
+        want_d[i] = d;
+        want_a[i] = static_cast<std::uint32_t>(c);
+      }
+    }
+  }
+  rows.assign(dc.centroids, simd_a.data(), simd_d.data());
+  rows.assign_reference(dc.centroids, scalar_a.data(), scalar_d.data());
+  EXPECT_EQ(simd_a, want_a);
+  EXPECT_EQ(scalar_a, want_a);
+  EXPECT_TRUE(same_bits(simd_d, want_d));
+  EXPECT_TRUE(same_bits(scalar_d, want_d));
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(nearest_centroid(dc.data.row(i), dc.centroids), want_a[i]);
+  }
+
+  // Seeding: std::min(m, d) per row, from a start that holds FLT_MAX, 0,
+  // -0.0, NaN and ordinary values.
+  std::vector<float> want_m(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const float starts[] = {std::numeric_limits<float>::max(), 0.0f, -0.0f,
+                            std::numeric_limits<float>::quiet_NaN(), 0.25f, 3.0f};
+    want_m[i] = starts[i % 6];
+  }
+  std::vector<float> simd_m = want_m, scalar_m = want_m;
+  for (std::size_t c = 0; c < k; ++c) {
+    for (std::size_t i = 0; i < n; ++i) {
+      want_m[i] = std::min(want_m[i], contract_sq_dist(dc.data.row(i), dc.centroids.row(c), v));
+    }
+    rows.relax_min(dc.centroids.row(c), simd_m.data());
+    rows.relax_min_reference(dc.centroids.row(c), scalar_m.data());
+  }
+  EXPECT_TRUE(same_bits(simd_m, want_m));
+  EXPECT_TRUE(same_bits(scalar_m, want_m));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, DistanceTwins,
+    ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(7, 2, 2),
+                      std::make_tuple(8, 3, 3), std::make_tuple(9, 5, 4),
+                      std::make_tuple(33, 16, 5), std::make_tuple(40, 17, 6),
+                      std::make_tuple(67, 9, 7), std::make_tuple(100, 33, 8),
+                      std::make_tuple(129, 128, 13)));
+
+TEST(HashTreeEncoder, RejectsPrototypeCountsAboveTheBoundAtOnce) {
+  // A corrupt artifact's u64 k reaches the raw constructor unchecked; the
+  // heap-depth loop must not run for it (it never ends for k > 2^63).
+  for (const std::uint64_t k :
+       {(std::uint64_t{1} << 62) + 1, std::numeric_limits<std::uint64_t>::max(),
+        std::uint64_t{HashTreeEncoder::kMaxPrototypes} + 1}) {
+    EXPECT_THROW(HashTreeEncoder({}, {}, k, 4), std::invalid_argument) << k;
+  }
 }
 
 TEST(ExactEncoder, PicksNearestPrototype) {

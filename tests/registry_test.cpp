@@ -103,6 +103,34 @@ TEST(PrefetcherRegistry, BuildsParameterizedRuleBasedPrefetchers) {
   EXPECT_EQ(labeled->name(), "Stride-1K");
 }
 
+TEST(PrefetcherRegistry, RuleBasedFactoriesRangeCheckTheirValues) {
+  // int fields take at most INT_MAX: 2^32 + 1 is not silently 1.
+  for (const char* spec :
+       {"bo:score_max=4294967297", "bo:round_max=4294967296", "bo:bad_score=2147483648",
+        // Tables allocated up front, and the BO offset walk, are bounded.
+        "stride:table=0", "stride:table=1048577", "stride:table=16G", "bo:rr=0",
+        "bo:rr=2M", "bo:max_offset=0", "bo:max_offset=65537", "isb:mappings=16777217",
+        "isb:mappings=18446744073709551615"}) {
+    try {
+      sim::make_prefetcher(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      // The message is Spec::fail's: grammar, spec text, then the key.
+      EXPECT_NE(std::string(e.what()).find(std::string("prefetcher spec '") + spec + "'"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(sim::PrefetcherRegistry::instance().validate(spec), std::invalid_argument)
+        << spec;
+  }
+  // The bounds themselves are accepted.
+  for (const char* spec : {"bo:score_max=2147483647,round_max=2147483647,bad_score=0",
+                           "stride:table=1,degree=1", "stride:table=1M", "bo:rr=1M,max_offset=64K",
+                           "isb:mappings=16M", "isb:mappings=0"}) {
+    EXPECT_NO_THROW(sim::make_prefetcher(spec)) << spec;
+  }
+}
+
 TEST(PrefetcherRegistry, LabelKeepsFillObservation) {
   // The label decorator forwards trains_on_fill: a relabelled stride still
   // lets the simulator skip fill events, a relabelled BO still gets them.

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/ops.hpp"
 #include "nn/tensor.hpp"
@@ -120,6 +121,103 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MatmulSizes,
                                            std::make_tuple(8, 8, 8), std::make_tuple(17, 31, 9),
                                            std::make_tuple(64, 32, 48),
                                            std::make_tuple(128, 16, 128)));
+
+// ---- bit-exact training kernels (DESIGN.md §6 "Training kernels") ---------
+
+// The rounding contract spelled out without common/madd.hpp: a volatile
+// store rounds a product on its own, std::fmaf fuses where the build has
+// FMA (without FMA every product rounds on its own).
+float rounded_product(float a, float b) {
+  volatile float p = a * b;
+  return p;
+}
+
+float fused(float a, float b, float c) {
+#if defined(__FMA__)
+  return std::fmaf(a, b, c);
+#else
+  return rounded_product(a, b) + c;
+#endif
+}
+
+/// sum over t < terms of x[t*xs] * y[t*ys] from +0.0f in t order: the
+/// first `split` products round on their own, the rest are fused.
+float contract_dot(const float* x, std::size_t xs, const float* y, std::size_t ys,
+                   std::size_t terms, std::size_t split) {
+  float acc = 0.0f;
+  for (std::size_t t = 0; t < terms; ++t) {
+    const float p = x[t * xs], q = y[t * ys];
+    acc = t < split ? acc + rounded_product(p, q) : fused(p, q, acc);
+  }
+  return acc;
+}
+
+/// Operands whose products need every bit: unit normals scaled over six
+/// binary orders of magnitude, so sums round differently in another order
+/// or with another fusion.
+Tensor spread_operand(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  Tensor t = Tensor::randn({rows, cols}, 1.0f, seed);
+  for (std::size_t i = 0; i < t.numel(); ++i) t[i] = std::ldexp(t[i], static_cast<int>(i % 7) - 3);
+  return t;
+}
+
+bool same_bits(const Tensor& x, const Tensor& y) {
+  return x.shape() == y.shape() &&
+         std::memcmp(x.data(), y.data(), x.numel() * sizeof(float)) == 0;
+}
+
+class MatmulTwins : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+// k covers k mod 4 in {0,1,2,3} and k < 4; n covers n mod 8 != 0 and more
+// than one 16-column tile; m covers m mod 4 != 0; and 1x1x1.
+TEST_P(MatmulTwins, SimdAndScalarMatchTheRoundingContractBitwise) {
+  const auto [mi, ki, ni] = GetParam();
+  const std::size_t m = mi, k = ki, n = ni;
+  const Tensor a = spread_operand(m, k, 11), b = spread_operand(k, n, 12);
+  const Tensor bt = spread_operand(n, k, 13), b2 = spread_operand(m, n, 14);
+
+  Tensor want({m, n});
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      want.at(i, j) = contract_dot(a.row(i), 1, b.data() + j, n, k, 0);
+    }
+  }
+  Tensor simd, scalar;
+  ops::matmul(a, b, simd);
+  ops::matmul_reference(a, b, scalar);
+  EXPECT_TRUE(same_bits(simd, want)) << "matmul " << m << "x" << k << "x" << n;
+  EXPECT_TRUE(same_bits(scalar, want)) << "matmul_reference " << m << "x" << k << "x" << n;
+
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      want.at(i, j) = contract_dot(a.row(i), 1, bt.row(j), 1, k, k - k % 4);
+    }
+  }
+  ops::matmul_nt(a, bt, simd);
+  ops::matmul_nt_reference(a, bt, scalar);
+  EXPECT_TRUE(same_bits(simd, want)) << "matmul_nt " << m << "x" << k << "x" << n;
+  EXPECT_TRUE(same_bits(scalar, want)) << "matmul_nt_reference " << m << "x" << k << "x" << n;
+
+  Tensor want_tn({k, n});
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      want_tn.at(i, j) = contract_dot(a.data() + i, k, b2.data() + j, n, m, 0);
+    }
+  }
+  ops::matmul_tn(a, b2, simd);
+  ops::matmul_tn_reference(a, b2, scalar);
+  EXPECT_TRUE(same_bits(simd, want_tn)) << "matmul_tn " << m << "x" << k << "x" << n;
+  EXPECT_TRUE(same_bits(scalar, want_tn)) << "matmul_tn_reference " << m << "x" << k << "x" << n;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, MatmulTwins,
+    ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(1, 3, 7), std::make_tuple(2, 2, 8),
+                      std::make_tuple(3, 4, 9), std::make_tuple(4, 5, 15),
+                      std::make_tuple(5, 6, 16), std::make_tuple(7, 7, 17),
+                      std::make_tuple(8, 8, 24), std::make_tuple(9, 9, 33),
+                      std::make_tuple(13, 17, 31), std::make_tuple(32, 64, 40),
+                      std::make_tuple(37, 70, 65)));
 
 TEST(Ops, MatmulRejectsMismatchedDims) {
   Tensor a({2, 3}), b({4, 5}), c;

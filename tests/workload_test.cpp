@@ -73,6 +73,26 @@ TEST(Workload, ParseAcceptsAppNamesAndFamilies) {
   EXPECT_EQ(Workload(App::kMcf).spec(), "605.mcf");
 }
 
+TEST(Workload, AppNamesMatchExactly) {
+  for (App app : all_apps()) {
+    const std::string full = app_name(app);
+    const std::size_t dot = full.find('.');
+    EXPECT_EQ(app_from_name(full), app);
+    EXPECT_EQ(app_from_name(full.substr(dot + 1)), app);
+    EXPECT_EQ(app_from_name(full.substr(0, dot)), app);
+    EXPECT_EQ(Workload::parse(full).spec(), full);
+  }
+  // Truncations and substrings of a name select no app, and as bare
+  // workloads they are not families either.
+  for (const char* bad : {"m", "l", "lib", "libq", "bwave", "waves", "433.mil", "33", "43",
+                          "410.", ".bwaves", "MCF", " mcf"}) {
+    EXPECT_THROW(app_from_name(bad), std::invalid_argument) << bad;
+  }
+  for (const char* bad : {"m", "l", "lib"}) {
+    EXPECT_THROW(Workload::parse(bad), std::invalid_argument) << bad;
+  }
+}
+
 TEST(Workload, ParseRejectsUnknownFamiliesAndUnusedKeys) {
   EXPECT_THROW(Workload::parse("trace:nosuchfamily"), std::invalid_argument);
   EXPECT_THROW(Workload::parse("notaworkload"), std::invalid_argument);
